@@ -5,7 +5,8 @@
 //! *multipoint relays* (MPRs — the minimal neighbour subset covering
 //! the two-hop neighbourhood); only MPRs forward topology-control (TC)
 //! floods, and only MPR-selector links are advertised. Routes are
-//! recomputed by breadth-first search over the learned topology.
+//! recomputed by breadth-first search over the learned topology. Both
+//! recomputations run on compact bitsets (DESIGN.md §19).
 //!
 //! The paper found the INRIA OLSR code suffered packet-jitter problems
 //! and added "a new FIFO jitter queue … a uniformly chosen inter-packet
@@ -21,7 +22,7 @@ use manet_sim::protocol::{Ctx, DropReason, RouteDump, RouteTelemetry, RoutingPro
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, TraceEvent};
 use messages::{Hello, Tc};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Protocol state maps use the deterministic Fx hasher: every iteration
 /// over them is order-insensitive (sorted or commutative afterwards),
@@ -96,8 +97,9 @@ pub struct Olsr {
     two_hop: FxMap<NodeId, (Vec<NodeId>, SimTime)>,
     mpr_set: FxSet<NodeId>,
     mpr_selectors: FxMap<NodeId, SimTime>,
-    /// (originator, selector) → (ansn, expiry).
-    topology: FxMap<(NodeId, NodeId), (u16, SimTime)>,
+    /// Topology set keyed by originator: its advertised selectors,
+    /// sorted by id, never empty.
+    topology: FxMap<NodeId, Vec<TopoEntry>>,
     /// TC duplicate set: (originator, seq) → expiry.
     dup: FxMap<(NodeId, u16), SimTime>,
     table: FxMap<NodeId, (NodeId, u32)>,
@@ -108,18 +110,167 @@ pub struct Olsr {
     outq: VecDeque<(ControlKind, Vec<u8>, bool)>,
     drain_scheduled: bool,
     clock: SimTime,
-    /// Reusable buffers for [`Olsr::recompute_routes`] (no protocol
-    /// state — purely an allocation cache).
-    scratch: RouteScratch,
+    /// Reusable buffers for [`Olsr::recompute_mprs`] and
+    /// [`Olsr::recompute_routes`] (no protocol state — purely an
+    /// allocation cache).
+    scratch: Scratch,
 }
 
-/// Scratch space reused across route recomputations.
+/// One advertised link of a TC originator.
+#[derive(Clone, Copy, Debug)]
+struct TopoEntry {
+    sel: NodeId,
+    ansn: u16,
+    expires: SimTime,
+}
+
+/// Scratch space reused across MPR and route recomputations. Buffer
+/// sizes depend on how many distinct ids are live (the adjacency rows
+/// on its square / 64), never on the largest id value.
 #[derive(Clone, Debug, Default)]
-struct RouteScratch {
-    edges: Vec<Vec<NodeId>>,
-    dist: Vec<u32>,
-    first_hop: Vec<NodeId>,
-    queue: VecDeque<NodeId>,
+struct Scratch {
+    /// Live symmetric one-hop neighbours, sorted by id.
+    n1: Vec<NodeId>,
+    /// MPR selection: the sole provider of each compacted id, if any.
+    sole: Vec<u32>,
+    /// MPR selection: one coverage bitset over the compacted
+    /// neighbourhood per one-hop neighbour.
+    cov: Vec<u64>,
+    /// MPR selection: this node and its one-hop set, which are never
+    /// strict two-hop nodes.
+    excluded: Vec<u64>,
+    uncovered: Vec<u64>,
+    chosen: Vec<bool>,
+    /// The id compaction of the current recomputation.
+    ix: Compaction,
+    /// Route computation: the distinct live ids, ascending; a node's
+    /// index here is its bit position, so bit order is id order.
+    ids: Vec<NodeId>,
+    /// Route computation: one adjacency bitset per live id.
+    rows: Vec<u64>,
+    visited: Vec<u64>,
+    /// Route computation: BFS FIFO of (index, hops, first hop).
+    queue: Vec<(u32, u32, NodeId)>,
+}
+
+/// Words in a bitset over `n` items.
+fn words(n: usize) -> usize {
+    n.div_ceil(64)
+}
+
+fn set_bit(row: &mut [u64], i: usize) {
+    row[i / 64] |= 1 << (i % 64);
+}
+
+/// Sets every bit from `bits` in `row` (at least one word long). Bits
+/// in one word are gathered in a register before they are stored, so a
+/// sorted id list costs one store per word rather than one dependent
+/// load–store per bit.
+fn set_bits(row: &mut [u64], bits: impl IntoIterator<Item = usize>) {
+    let (mut at, mut acc) = (0, 0u64);
+    for i in bits {
+        if i / 64 != at {
+            row[at] |= acc;
+            (at, acc) = (i / 64, 0);
+        }
+        acc |= 1 << (i % 64);
+    }
+    row[at] |= acc;
+}
+
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    dst.iter_mut().zip(src).for_each(|(d, s)| *d |= s);
+}
+
+fn clear_from(dst: &mut [u64], src: &[u64]) {
+    dst.iter_mut().zip(src).for_each(|(d, s)| *d &= !s);
+}
+
+/// A monotone id → index compaction: the i-th smallest id present gets
+/// index i, so index order is id order. Ids are grouped in blocks of
+/// 64 consecutive values; each occupied block keeps a presence word and
+/// the count of ids in lower blocks, so a lookup is a search over the
+/// occupied blocks (one or two in a paper-scale run) plus a popcount.
+/// Memory is O(occupied blocks), never O(largest id).
+#[derive(Clone, Debug, Default)]
+struct Compaction {
+    /// Occupied blocks, sorted by `base`.
+    blocks: Vec<Block>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Block {
+    /// `id / 64` of every id in the block.
+    base: u16,
+    present: u64,
+    /// Ids in lower blocks (set by [`Compaction::seal`]).
+    rank: u32,
+}
+
+impl Compaction {
+    fn clear(&mut self) {
+        self.blocks.clear();
+    }
+
+    /// Adds ids. Runs within one block (the common case for sorted id
+    /// lists) are gathered in a register and merged once.
+    fn insert(&mut self, ids: impl IntoIterator<Item = NodeId>) {
+        let mut run: Option<(u16, u64)> = None;
+        for id in ids {
+            let (base, bit) = (id.0 / 64, 1u64 << (id.0 % 64));
+            match &mut run {
+                Some((b, acc)) if *b == base => *acc |= bit,
+                _ => {
+                    if let Some((b, acc)) = run {
+                        self.merge(b, acc);
+                    }
+                    run = Some((base, bit));
+                }
+            }
+        }
+        if let Some((b, acc)) = run {
+            self.merge(b, acc);
+        }
+    }
+
+    fn merge(&mut self, base: u16, bits: u64) {
+        match self.blocks.binary_search_by_key(&base, |b| b.base) {
+            Ok(i) => self.blocks[i].present |= bits,
+            Err(i) => self.blocks.insert(i, Block { base, present: bits, rank: 0 }),
+        }
+    }
+
+    /// Fixes the ranks once every id is inserted; returns the id count.
+    fn seal(&mut self) -> usize {
+        let mut n = 0;
+        for b in &mut self.blocks {
+            b.rank = n;
+            n += b.present.count_ones();
+        }
+        n as usize
+    }
+
+    /// Index of an inserted id (after [`Compaction::seal`]).
+    fn index(&self, id: NodeId) -> usize {
+        let i = self.blocks.partition_point(|b| b.base < id.0 / 64);
+        self.blocks
+            .get(i)
+            .map_or(0, |b| (b.rank + (b.present & ((1 << (id.0 % 64)) - 1)).count_ones()) as usize)
+    }
+
+    /// The ids present, ascending (index order).
+    fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.blocks.iter().flat_map(|b| {
+            let mut bits = b.present;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let at = bits.trailing_zeros() as u16;
+                    bits &= bits - 1;
+                    NodeId(b.base * 64 + at)
+                })
+            })
+        })
+    }
 }
 
 impl Olsr {
@@ -144,7 +295,7 @@ impl Olsr {
             outq: VecDeque::new(),
             drain_scheduled: false,
             clock: SimTime::ZERO,
-            scratch: RouteScratch::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -177,9 +328,13 @@ impl Olsr {
     pub fn force_expire(&mut self, dest: NodeId) -> bool {
         let mut removed = self.links.remove(&dest).is_some();
         removed |= self.two_hop.remove(&dest).is_some();
-        let before = self.topology.len();
-        self.topology.retain(|&(orig, sel), _| orig != dest && sel != dest);
-        removed |= self.topology.len() != before;
+        let before = self.topology_len();
+        self.topology.remove(&dest);
+        self.topology.retain(|_, sels| {
+            sels.retain(|e| e.sel != dest);
+            !sels.is_empty()
+        });
+        removed |= self.topology_len() != before;
         if removed {
             self.dirty = true;
         }
@@ -238,14 +393,16 @@ impl Olsr {
             push_id(out, *n);
             push_u64(out, exp.as_nanos());
         }
-        let mut topology: Vec<_> = self.topology.iter().collect();
-        topology.sort_unstable_by_key(|&(&(o, s), _)| (o.0, s.0));
-        push_u64(out, topology.len() as u64);
-        for ((orig, sel), (ansn, exp)) in topology {
-            push_id(out, *orig);
-            push_id(out, *sel);
-            out.extend_from_slice(&ansn.to_le_bytes());
-            push_u64(out, exp.as_nanos());
+        let mut topology: Vec<(&NodeId, &Vec<TopoEntry>)> = self.topology.iter().collect();
+        topology.sort_unstable_by_key(|(o, _)| o.0);
+        push_u64(out, self.topology_len() as u64);
+        for (orig, sels) in topology {
+            for e in sels {
+                push_id(out, *orig);
+                push_id(out, e.sel);
+                out.extend_from_slice(&e.ansn.to_le_bytes());
+                push_u64(out, e.expires.as_nanos());
+            }
         }
         let mut dup: Vec<(&(NodeId, u16), &SimTime)> = self.dup.iter().collect();
         dup.sort_unstable_by_key(|((o, s), _)| (o.0, *s));
@@ -277,10 +434,22 @@ impl Olsr {
         push_u64(out, self.clock.as_nanos());
     }
 
+    /// Number of (originator, selector) entries in the topology set,
+    /// expired-but-uncleaned ones included.
+    fn topology_len(&self) -> usize {
+        self.topology.values().map(Vec::len).sum()
+    }
+
+    /// Writes the live symmetric neighbours, sorted by id, into `out`.
+    fn collect_sym(&self, now: SimTime, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend(self.links.iter().filter(|(_, l)| l.sym && l.expires > now).map(|(&n, _)| n));
+        out.sort_unstable_by_key(|n| n.0);
+    }
+
     fn sym_neighbors(&self, now: SimTime) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> =
-            self.links.iter().filter(|(_, l)| l.sym && l.expires > now).map(|(&n, _)| n).collect();
-        v.sort_unstable_by_key(|n| n.0);
+        let mut v = Vec::new();
+        self.collect_sym(now, &mut v);
         v
     }
 
@@ -292,140 +461,171 @@ impl Olsr {
     }
 
     /// Greedy MPR selection: cover every strict two-hop neighbour.
-    pub(crate) fn recompute_mprs(&mut self, now: SimTime) {
-        let n1: Vec<NodeId> = self.sym_neighbors(now);
-        let n1_set: HashSet<NodeId> = n1.iter().copied().collect();
-        // coverage[n2] = the one-hop neighbours reaching it. Ordered
-        // maps: the greedy loop below iterates these, and iteration
-        // order must not depend on process-level hash state.
-        let mut coverage: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for &n in &n1 {
-            if let Some((twos, exp)) = self.two_hop.get(&n) {
-                if *exp > now {
-                    for &t in twos {
-                        if t != self.id && !n1_set.contains(&t) {
-                            coverage.entry(t).or_default().push(n);
-                        }
-                    }
-                }
+    ///
+    /// Every id in the one- and two-hop neighbourhood is compacted to a
+    /// bit position, and each one-hop neighbour gets a coverage bitset
+    /// over those positions, so a candidate's gain is
+    /// `popcount(cov[n] & uncovered)`. Candidates are scanned in id
+    /// order and only a strictly larger gain replaces the best, so ties
+    /// go to the smallest id.
+    pub fn recompute_mprs(&mut self, now: SimTime) {
+        let mut scr = std::mem::take(&mut self.scratch);
+        self.collect_sym(now, &mut scr.n1);
+        let n1 = &scr.n1;
+        let live = |n: &NodeId| self.two_hop.get(n).filter(|(_, exp)| *exp > now);
+        let ix = &mut scr.ix;
+        ix.clear();
+        ix.insert([self.id]);
+        ix.insert(n1.iter().copied());
+        for n in n1 {
+            ix.insert(live(n).into_iter().flat_map(|(twos, _)| twos.iter().copied()));
+        }
+        let k = ix.seal();
+        let w = words(k);
+        let excluded = &mut scr.excluded;
+        excluded.clear();
+        excluded.resize(w, 0);
+        set_bit(excluded, ix.index(self.id));
+        n1.iter().for_each(|&n| set_bit(excluded, ix.index(n)));
+        // sole[j]: 0 = no provider yet, i + 1 = one listing by n1[i],
+        // MANY = two or more listings. Listings are counted, not
+        // distinct providers: a hello that lists `t` twice leaves `t`
+        // with no sole provider.
+        const MANY: u32 = u32::MAX;
+        scr.sole.clear();
+        scr.sole.resize(k, 0);
+        scr.cov.clear();
+        scr.cov.resize(n1.len() * w, 0);
+        for (i, n) in n1.iter().enumerate() {
+            let sole = &mut scr.sole;
+            let strict = live(n)
+                .into_iter()
+                .flat_map(|(twos, _)| twos)
+                .map(|&t| ix.index(t))
+                .filter(|&j| excluded[j / 64] & (1 << (j % 64)) == 0)
+                .inspect(|&j| sole[j] = if sole[j] == 0 { i as u32 + 1 } else { MANY });
+            set_bits(&mut scr.cov[i * w..][..w], strict);
+        }
+        // Every node some neighbour reaches starts uncovered; sole
+        // providers are mandatory, taken in two-hop id order.
+        scr.uncovered.clear();
+        scr.uncovered.resize(w, 0);
+        scr.cov.chunks_exact(w).for_each(|c| or_into(&mut scr.uncovered, c));
+        scr.chosen.clear();
+        scr.chosen.resize(n1.len(), false);
+        self.mpr_set.clear();
+        for &p in &scr.sole {
+            if p != 0 && p != MANY {
+                let i = p as usize - 1;
+                scr.chosen[i] = true;
+                self.mpr_set.insert(n1[i]);
             }
         }
-        let mut mprs: FxSet<NodeId> = FxSet::default();
-        let mut uncovered: BTreeSet<NodeId> = coverage.keys().copied().collect();
-        // Mandatory: sole providers.
-        for providers in coverage.values() {
-            if providers.len() == 1 {
-                mprs.insert(providers[0]);
-            }
+        for (cov, _) in scr.cov.chunks_exact(w).zip(&scr.chosen).filter(|(_, &c)| c) {
+            clear_from(&mut scr.uncovered, cov);
         }
-        uncovered.retain(|t| !coverage[t].iter().any(|p| mprs.contains(p)));
-        // Greedy: max coverage, ties by smallest id (deterministic).
-        while !uncovered.is_empty() {
-            let mut best: Option<(usize, NodeId)> = None;
-            for &n in &n1 {
-                if mprs.contains(&n) {
+        while scr.uncovered.iter().any(|&u| u != 0) {
+            let mut best: Option<(u32, usize)> = None;
+            for (i, cov) in scr.cov.chunks_exact(w).enumerate() {
+                if scr.chosen[i] {
                     continue;
                 }
-                let covers = uncovered.iter().filter(|t| coverage[t].contains(&n)).count();
-                if covers > 0 {
-                    let cand = (covers, n);
-                    best = Some(match best {
-                        None => cand,
-                        Some((bc, bn)) => {
-                            if covers > bc || (covers == bc && n.0 < bn.0) {
-                                cand
-                            } else {
-                                (bc, bn)
-                            }
-                        }
-                    });
+                let covers: u32 =
+                    cov.iter().zip(&scr.uncovered).map(|(c, u)| (c & u).count_ones()).sum();
+                if covers > best.map_or(0, |(bc, _)| bc) {
+                    best = Some((covers, i));
                 }
             }
-            match best {
-                Some((_, n)) => {
-                    mprs.insert(n);
-                    uncovered.retain(|t| !coverage[t].contains(&n));
-                }
-                None => break, // unreachable two-hop nodes
-            }
+            // Every uncovered node has a provider that is not chosen
+            // yet, so there is always a candidate; stop defensively.
+            let Some((_, i)) = best else { break };
+            scr.chosen[i] = true;
+            self.mpr_set.insert(n1[i]);
+            clear_from(&mut scr.uncovered, &scr.cov[i * w..][..w]);
         }
-        self.mpr_set = mprs;
+        self.scratch = scr;
     }
 
     /// Breadth-first route computation over links + topology.
     ///
     /// Runs once per forwarding decision after a topology change, so it
-    /// is the hottest code in the protocol at paper scale. Node ids are
-    /// compact (`0..n`), so the graph and the BFS bookkeeping live in
-    /// dense arrays indexed by id rather than hash maps; the visit
-    /// order (sorted one-hop set, sorted adjacency lists, FIFO queue)
-    /// and the resulting table are exactly those of the map-based
-    /// formulation.
-    fn recompute_routes(&mut self, now: SimTime) {
+    /// is the hottest code in the protocol at paper scale. The live ids
+    /// are compacted to `0..V` in id order and the graph is held as one
+    /// adjacency bitset per node. The BFS starts from the sorted
+    /// one-hop set, drains a FIFO and takes each row's unvisited bits
+    /// in ascending order — exactly the visit order of sorted,
+    /// deduplicated adjacency lists, so every first hop and hop count
+    /// is the same.
+    pub fn recompute_routes(&mut self, now: SimTime) {
         self.dirty = false;
-        let n1 = self.sym_neighbors(now);
-        let mut max_id = self.id.0;
-        for &n in &n1 {
-            max_id = max_id.max(n.0);
-        }
-        for (&n, (twos, exp)) in &self.two_hop {
-            if *exp > now {
-                max_id = max_id.max(n.0);
-                for &t in twos {
-                    max_id = max_id.max(t.0);
-                }
-            }
-        }
-        for (&(orig, sel), &(_, exp)) in &self.topology {
-            if exp > now {
-                max_id = max_id.max(orig.0).max(sel.0);
-            }
-        }
-        let size = max_id as usize + 1;
         let mut scr = std::mem::take(&mut self.scratch);
-        scr.edges.iter_mut().for_each(Vec::clear);
-        scr.edges.resize_with(size.max(scr.edges.len()), Vec::new);
-        scr.edges[self.id.index()].extend_from_slice(&n1);
+        self.collect_sym(now, &mut scr.n1);
+        let ix = &mut scr.ix;
+        ix.clear();
+        ix.insert([self.id]);
+        ix.insert(scr.n1.iter().copied());
         for (&n, (twos, exp)) in &self.two_hop {
             if *exp > now {
-                scr.edges[n.index()].extend(twos.iter().copied());
+                ix.insert([n]);
+                ix.insert(twos.iter().copied());
             }
         }
-        for (&(orig, sel), &(_, exp)) in &self.topology {
-            if exp > now {
-                scr.edges[orig.index()].push(sel);
-                scr.edges[sel.index()].push(orig);
+        for (&orig, sels) in &self.topology {
+            let mut live = sels.iter().filter(|e| e.expires > now).map(|e| e.sel).peekable();
+            if live.peek().is_some() {
+                ix.insert([orig]);
+                ix.insert(live);
             }
         }
-        for v in scr.edges.iter_mut().take(size) {
-            v.sort_unstable_by_key(|n| n.0);
-            v.dedup();
+        let w = words(ix.seal());
+        scr.ids.clear();
+        scr.ids.extend(ix.ids());
+        let ids = &scr.ids;
+        let rows = &mut scr.rows;
+        rows.clear();
+        rows.resize(ids.len() * w, 0);
+        // The node's own row is never read: it is the BFS root, and the
+        // BFS seeds from the one-hop set directly.
+        for (&n, (twos, exp)) in &self.two_hop {
+            if *exp > now {
+                set_bits(&mut rows[ix.index(n) * w..][..w], twos.iter().map(|&t| ix.index(t)));
+            }
         }
-        const UNSET: u32 = u32::MAX;
-        scr.dist.clear();
-        scr.dist.resize(size, UNSET);
-        scr.first_hop.clear();
-        scr.first_hop.resize(size, NodeId(0));
-        scr.queue.clear();
+        for (&orig, sels) in &self.topology {
+            let o = ix.index(orig);
+            for e in sels.iter().filter(|e| e.expires > now) {
+                let s = ix.index(e.sel);
+                set_bit(&mut rows[o * w..][..w], s);
+                set_bit(&mut rows[s * w..][..w], o);
+            }
+        }
+        let visited = &mut scr.visited;
+        visited.clear();
+        visited.resize(w, 0);
+        set_bit(visited, ix.index(self.id));
+        let queue = &mut scr.queue;
+        queue.clear();
         self.table.clear();
-        scr.dist[self.id.index()] = 0;
-        for &n in &n1 {
-            if scr.dist[n.index()] == UNSET {
-                scr.dist[n.index()] = 1;
-                scr.first_hop[n.index()] = n;
+        for &n in &scr.n1 {
+            let i = ix.index(n);
+            if visited[i / 64] & (1 << (i % 64)) == 0 {
+                set_bit(visited, i);
                 self.table.insert(n, (n, 1));
-                scr.queue.push_back(n);
+                queue.push((i as u32, 1, n));
             }
         }
-        while let Some(u) = scr.queue.pop_front() {
-            let du = scr.dist[u.index()];
-            let fh = scr.first_hop[u.index()];
-            for &v in &scr.edges[u.index()] {
-                if scr.dist[v.index()] == UNSET {
-                    scr.dist[v.index()] = du + 1;
-                    scr.first_hop[v.index()] = fh;
-                    self.table.insert(v, (fh, du + 1));
-                    scr.queue.push_back(v);
+        let mut head = 0;
+        while let Some(&(u, du, fh)) = queue.get(head) {
+            head += 1;
+            let row = &rows[u as usize * w..][..w];
+            for (x, (&r, seen)) in row.iter().zip(visited.iter_mut()).enumerate() {
+                let mut fresh = r & !*seen;
+                *seen |= fresh;
+                while fresh != 0 {
+                    let v = x * 64 + fresh.trailing_zeros() as usize;
+                    fresh &= fresh - 1;
+                    self.table.insert(ids[v], (fh, du + 1));
+                    queue.push((v as u32, du + 1, fh));
                 }
             }
         }
@@ -552,14 +752,14 @@ impl Olsr {
         let entry = self.links.entry(prev).or_insert(LinkState { sym: false, expires: now + hold });
         entry.sym = hears_us;
         entry.expires = now + hold;
-        // Two-hop set (only via symmetric links).
-        self.two_hop.insert(prev, (h.sym.clone(), now + hold));
         // MPR selector set.
         if h.mpr.contains(&self.id) {
             self.mpr_selectors.insert(prev, now + hold);
         } else {
             self.mpr_selectors.remove(&prev);
         }
+        // Two-hop set (only via symmetric links).
+        self.two_hop.insert(prev, (h.sym, now + hold));
         self.dirty = true;
     }
 
@@ -572,23 +772,28 @@ impl Olsr {
         let seen = self.dup.get(&dkey).is_some_and(|&e| e > now);
         if !seen {
             self.dup.insert(dkey, now + self.cfg.duplicate_hold);
-            // ANSN logic: ignore stale sets; replace older ones.
-            let current = self
-                .topology
-                .iter()
-                .filter(|((o, _), _)| *o == tc.originator)
-                .map(|(_, &(a, _))| a)
-                .max();
+            // ANSN logic: ignore stale sets; replace older ones. The
+            // current ANSN is the numeric maximum over the originator's
+            // entries, expired-but-uncleaned ones included.
+            let sels = self.topology.entry(tc.originator).or_default();
+            let current = sels.iter().map(|e| e.ansn).max();
             let stale = current.is_some_and(|a| ansn_newer(a, tc.ansn));
             if !stale {
                 if current.is_some_and(|a| ansn_newer(tc.ansn, a)) {
-                    self.topology.retain(|(o, _), _| *o != tc.originator);
+                    sels.clear();
                 }
+                let expires = now + self.cfg.topology_hold;
                 for &sel in &tc.selectors {
-                    self.topology
-                        .insert((tc.originator, sel), (tc.ansn, now + self.cfg.topology_hold));
+                    let e = TopoEntry { sel, ansn: tc.ansn, expires };
+                    match sels.binary_search_by_key(&sel.0, |e| e.sel.0) {
+                        Ok(i) => sels[i] = e,
+                        Err(i) => sels.insert(i, e),
+                    }
                 }
                 self.dirty = true;
+            }
+            if sels.is_empty() {
+                self.topology.remove(&tc.originator);
             }
             // Default forwarding: retransmit only if the sender selected
             // us as an MPR.
@@ -707,7 +912,10 @@ impl RoutingProtocol for Olsr {
             CLEANUP_TOKEN => {
                 let now = ctx.now();
                 self.dup.retain(|_, &mut e| e > now);
-                self.topology.retain(|_, &mut (_, e)| e > now);
+                self.topology.retain(|_, sels| {
+                    sels.retain(|e| e.expires > now);
+                    !sels.is_empty()
+                });
                 self.links.retain(|_, l| l.expires > now);
                 self.two_hop.retain(|_, (_, e)| *e > now);
                 self.dirty = true;

@@ -3,6 +3,8 @@
 use super::*;
 use manet_sim::protocol::Action;
 use manet_sim::rng::SimRng;
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 struct Node {
     olsr: Olsr,
@@ -45,6 +47,11 @@ fn ids(v: &[u16]) -> Vec<NodeId> {
 
 fn hello(sym: &[u16], heard: &[u16], mpr: &[u16]) -> Hello {
     Hello { sym: ids(sym), heard: ids(heard), mpr: ids(mpr) }
+}
+
+/// Whether the topology set holds the advertised link `orig -> sel`.
+fn has_link(o: &Olsr, orig: u16, sel: u16) -> bool {
+    o.topology.get(&NodeId(orig)).is_some_and(|s| s.iter().any(|e| e.sel == NodeId(sel)))
 }
 
 fn data(src: u16, dst: u16) -> DataPacket {
@@ -111,6 +118,22 @@ fn sole_provider_is_mandatory_mpr() {
 }
 
 #[test]
+fn sole_provider_counts_listings_not_providers() {
+    let mut n = Node::new(0);
+    // 1 lists 10 twice, so 10 has two listings and no sole provider:
+    // greedy takes 3 (three uncovered) and then 1 for 10. Were 1
+    // mandatory, it would cover 11 first and the 2-vs-3 tie would go
+    // to 2.
+    n.hello_from(1, hello(&[0, 10, 10, 11], &[], &[]));
+    n.hello_from(2, hello(&[0, 12, 13], &[], &[]));
+    n.hello_from(3, hello(&[0, 11, 12, 13], &[], &[]));
+    n.olsr.recompute_mprs(n.now);
+    let mprs: BTreeSet<NodeId> = n.olsr.mprs().iter().copied().collect();
+    assert_eq!(mprs, ids(&[1, 3]).into_iter().collect());
+    assert_eq!(mprs, reference_mprs(&n.olsr, n.now));
+}
+
+#[test]
 fn hello_advertises_mprs_and_selector_set_updates() {
     let mut n = Node::new(0);
     n.hello_from(1, hello(&[0, 3], &[], &[0]));
@@ -149,7 +172,7 @@ fn tc_forwarded_only_by_mprs_of_the_sender() {
     m.hello_from(5, hello(&[0], &[], &[]));
     let acts = m.tc_from(5, tc);
     assert_eq!(broadcasts(&acts, ControlKind::Tc), 0);
-    assert!(m.olsr.topology.contains_key(&(NodeId(9), NodeId(4))), "still learned");
+    assert!(has_link(&m.olsr, 9, 4), "still learned");
 }
 
 #[test]
@@ -160,13 +183,13 @@ fn stale_ansn_ignored_newer_replaces() {
     // Older ANSN (different seq so it passes dup check): ignored.
     let old = Tc { originator: NodeId(9), ansn: 4, seq: 2, ttl: 10, selectors: ids(&[6]) };
     n.tc_from(5, old);
-    assert!(n.olsr.topology.contains_key(&(NodeId(9), NodeId(4))));
-    assert!(!n.olsr.topology.contains_key(&(NodeId(9), NodeId(6))));
+    assert!(has_link(&n.olsr, 9, 4));
+    assert!(!has_link(&n.olsr, 9, 6));
     // Newer ANSN replaces the set.
     let new = Tc { originator: NodeId(9), ansn: 6, seq: 3, ttl: 10, selectors: ids(&[7]) };
     n.tc_from(5, new);
-    assert!(!n.olsr.topology.contains_key(&(NodeId(9), NodeId(4))));
-    assert!(n.olsr.topology.contains_key(&(NodeId(9), NodeId(7))));
+    assert!(!has_link(&n.olsr, 9, 4));
+    assert!(has_link(&n.olsr, 9, 7));
 }
 
 #[test]
@@ -253,4 +276,318 @@ fn start_schedules_periodic_timers() {
     let acts = n.call(|o, ctx| o.start(ctx));
     let timers = acts.iter().filter(|a| matches!(a, Action::SetTimer { .. })).count();
     assert!(timers >= 3, "hello, tc and cleanup timers");
+}
+
+#[test]
+fn corrupt_id_does_not_inflate_scratch() {
+    fn scratch_capacity(s: &Scratch) -> usize {
+        s.n1.capacity()
+            + s.sole.capacity()
+            + s.cov.capacity()
+            + s.excluded.capacity()
+            + s.uncovered.capacity()
+            + s.chosen.capacity()
+            + s.ix.blocks.capacity()
+            + s.ids.capacity()
+            + s.rows.capacity()
+            + s.visited.capacity()
+            + s.queue.capacity()
+    }
+    let mut n = Node::new(0);
+    n.hello_from(1, hello(&[0, 2], &[], &[]));
+    // A corrupted TC naming the largest possible id.
+    let tc = Tc { originator: NodeId(2), ansn: 1, seq: 1, ttl: 10, selectors: ids(&[u16::MAX]) };
+    n.tc_from(1, tc);
+    n.olsr.recompute_mprs(n.now);
+    n.olsr.recompute_routes(n.now);
+    assert_eq!(n.olsr.table().get(&NodeId(u16::MAX)), Some(&(NodeId(1), 3)));
+    assert!(scratch_capacity(&n.olsr.scratch) <= 64, "sized by 4 distinct ids, not by id 65535");
+    // The TC expires (15 s hold); the neighbour keeps saying hello.
+    n.now = SimTime::from_secs(20);
+    n.hello_from(1, hello(&[0, 2], &[], &[]));
+    n.olsr.recompute_mprs(n.now);
+    n.olsr.recompute_routes(n.now);
+    assert_eq!(n.olsr.table().get(&NodeId(u16::MAX)), None);
+    assert!(scratch_capacity(&n.olsr.scratch) <= 64);
+}
+
+// ----- differential oracle -------------------------------------------------
+//
+// The map-based MPR selection and route computation this module ran
+// before the bitset rewrite, and its TC processing over a flat
+// (originator, selector) map. The bitset code must agree with them on
+// every state, including ones no well-behaved neighbour would produce.
+
+/// The old topology layout: (originator, selector) → (ansn, expiry).
+type FlatTopology = BTreeMap<(NodeId, NodeId), (u16, SimTime)>;
+
+fn flat_topology(o: &Olsr) -> FlatTopology {
+    let mut flat = FlatTopology::new();
+    for (&orig, sels) in &o.topology {
+        for e in sels {
+            flat.insert((orig, e.sel), (e.ansn, e.expires));
+        }
+    }
+    flat
+}
+
+fn reference_mprs(o: &Olsr, now: SimTime) -> BTreeSet<NodeId> {
+    let n1: Vec<NodeId> = o.sym_neighbors(now);
+    let n1_set: BTreeSet<NodeId> = n1.iter().copied().collect();
+    let mut coverage: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for &n in &n1 {
+        if let Some((twos, exp)) = o.two_hop.get(&n) {
+            if *exp > now {
+                for &t in twos {
+                    if t != o.id && !n1_set.contains(&t) {
+                        coverage.entry(t).or_default().push(n);
+                    }
+                }
+            }
+        }
+    }
+    let mut mprs: BTreeSet<NodeId> = BTreeSet::new();
+    let mut uncovered: BTreeSet<NodeId> = coverage.keys().copied().collect();
+    // Mandatory: sole providers.
+    for providers in coverage.values() {
+        if providers.len() == 1 {
+            mprs.insert(providers[0]);
+        }
+    }
+    uncovered.retain(|t| !coverage[t].iter().any(|p| mprs.contains(p)));
+    // Greedy: max coverage, ties by smallest id.
+    while !uncovered.is_empty() {
+        let mut best: Option<(usize, NodeId)> = None;
+        for &n in &n1 {
+            if mprs.contains(&n) {
+                continue;
+            }
+            let covers = uncovered.iter().filter(|t| coverage[t].contains(&n)).count();
+            if covers > 0 {
+                let cand = (covers, n);
+                best = Some(match best {
+                    None => cand,
+                    Some((bc, bn)) => {
+                        if covers > bc || (covers == bc && n.0 < bn.0) {
+                            cand
+                        } else {
+                            (bc, bn)
+                        }
+                    }
+                });
+            }
+        }
+        match best {
+            Some((_, n)) => {
+                mprs.insert(n);
+                uncovered.retain(|t| !coverage[t].contains(&n));
+            }
+            None => break,
+        }
+    }
+    mprs
+}
+
+fn reference_routes(o: &Olsr, now: SimTime) -> BTreeMap<NodeId, (NodeId, u32)> {
+    let topology = flat_topology(o);
+    let n1 = o.sym_neighbors(now);
+    let mut max_id = o.id.0;
+    for &n in &n1 {
+        max_id = max_id.max(n.0);
+    }
+    for (&n, (twos, exp)) in &o.two_hop {
+        if *exp > now {
+            max_id = max_id.max(n.0);
+            for &t in twos {
+                max_id = max_id.max(t.0);
+            }
+        }
+    }
+    for (&(orig, sel), &(_, exp)) in &topology {
+        if exp > now {
+            max_id = max_id.max(orig.0).max(sel.0);
+        }
+    }
+    let size = max_id as usize + 1;
+    let mut edges: Vec<Vec<NodeId>> = vec![Vec::new(); size];
+    edges[o.id.index()].extend_from_slice(&n1);
+    for (&n, (twos, exp)) in &o.two_hop {
+        if *exp > now {
+            edges[n.index()].extend(twos.iter().copied());
+        }
+    }
+    for (&(orig, sel), &(_, exp)) in &topology {
+        if exp > now {
+            edges[orig.index()].push(sel);
+            edges[sel.index()].push(orig);
+        }
+    }
+    for v in &mut edges {
+        v.sort_unstable_by_key(|n| n.0);
+        v.dedup();
+    }
+    const UNSET: u32 = u32::MAX;
+    let mut dist = vec![UNSET; size];
+    let mut first_hop = vec![NodeId(0); size];
+    let mut queue = VecDeque::new();
+    let mut table = BTreeMap::new();
+    dist[o.id.index()] = 0;
+    for &n in &n1 {
+        if dist[n.index()] == UNSET {
+            dist[n.index()] = 1;
+            first_hop[n.index()] = n;
+            table.insert(n, (n, 1));
+            queue.push_back(n);
+        }
+    }
+    while let Some(u) = queue.pop_front() {
+        let du = dist[u.index()];
+        let fh = first_hop[u.index()];
+        for &v in &edges[u.index()] {
+            if dist[v.index()] == UNSET {
+                dist[v.index()] = du + 1;
+                first_hop[v.index()] = fh;
+                table.insert(v, (fh, du + 1));
+                queue.push_back(v);
+            }
+        }
+    }
+    table
+}
+
+/// The ANSN logic of TC processing on the flat layout.
+fn reference_tc(flat: &mut FlatTopology, me: NodeId, tc: &Tc, expires: SimTime) {
+    if tc.originator == me {
+        return;
+    }
+    let current = flat.iter().filter(|((o, _), _)| *o == tc.originator).map(|(_, &(a, _))| a).max();
+    if current.is_some_and(|a| ansn_newer(a, tc.ansn)) {
+        return;
+    }
+    if current.is_some_and(|a| ansn_newer(tc.ansn, a)) {
+        flat.retain(|(o, _), _| *o != tc.originator);
+    }
+    for &sel in &tc.selectors {
+        flat.insert((tc.originator, sel), (tc.ansn, expires));
+    }
+}
+
+/// Ids that collide often, straddle the first 64-id block edge and
+/// reach `u16::MAX`.
+fn arb_id() -> impl Strategy<Value = NodeId> {
+    (0u8..8, 0u16..12, any::<u16>()).prop_map(|(k, small, wide)| {
+        NodeId(match k {
+            0..=3 => small,
+            4 => 58 + small,
+            5 => u16::MAX - small % 3,
+            6 => 1000 + small,
+            _ => wide,
+        })
+    })
+}
+
+/// Expiry offsets around `NOW`: expired, expiring exactly now (not
+/// live), barely live, live.
+fn arb_expiry() -> impl Strategy<Value = SimTime> {
+    prop::sample::select(vec![-1_000_000_000i64, 0, 1, 5_000_000_000, 5_000_000_000])
+        .prop_map(|off| SimTime::from_nanos(NOW.as_nanos().saturating_add_signed(off)))
+}
+
+/// ANSNs that include pairs exactly 32768 apart.
+fn arb_ansn() -> impl Strategy<Value = u16> {
+    prop::sample::select(vec![0u16, 1, 2, 32767, 32768, 32769, 65535])
+}
+
+const NOW: SimTime = SimTime::from_secs(10);
+
+/// Topology section of `verification_digest`, encoded from the flat
+/// layout in (originator, selector) order.
+fn reference_topology_digest(flat: &FlatTopology) -> Vec<u8> {
+    let mut out = (flat.len() as u64).to_le_bytes().to_vec();
+    for ((orig, sel), (ansn, exp)) in flat {
+        out.extend_from_slice(&orig.0.to_le_bytes());
+        out.extend_from_slice(&sel.0.to_le_bytes());
+        out.extend_from_slice(&ansn.to_le_bytes());
+        out.extend_from_slice(&exp.as_nanos().to_le_bytes());
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn bitset_recomputation_matches_map_reference(
+        me in arb_id(),
+        // Neighbours with the sym list of their last hello, which may
+        // repeat ids and usually names this node.
+        neighbours in prop::collection::vec(
+            (
+                arb_id(),
+                prop::bool::ANY,
+                arb_expiry(),
+                prop::collection::vec(arb_id(), 0..10),
+                arb_expiry(),
+                prop::bool::ANY,
+            ),
+            0..12,
+        ),
+        // Two-hop entries of nodes that are no (live) neighbour.
+        stray in prop::collection::vec(
+            (arb_id(), prop::collection::vec(arb_id(), 0..10), arb_expiry()),
+            0..4,
+        ),
+        topology in prop::collection::vec((arb_id(), arb_id(), arb_ansn(), arb_expiry()), 0..30),
+        tcs in prop::collection::vec(
+            (arb_id(), arb_ansn(), prop::collection::vec(arb_id(), 0..6)),
+            0..8,
+        ),
+    ) {
+        let mut n = Node::new(me.0);
+        n.now = NOW;
+        for (id, sym, expires, mut twos, twos_expire, lists_me) in neighbours {
+            n.olsr.links.insert(id, LinkState { sym, expires });
+            if lists_me {
+                twos.insert(twos.len() / 2, me);
+            }
+            n.olsr.two_hop.insert(id, (twos, twos_expire));
+        }
+        for (id, twos, expires) in stray {
+            n.olsr.two_hop.insert(id, (twos, expires));
+        }
+        // Mixed ANSNs within one originator, expired-but-present entries.
+        let mut flat = FlatTopology::new();
+        for (orig, sel, ansn, expires) in topology {
+            flat.insert((orig, sel), (ansn, expires));
+        }
+        for (&(orig, sel), &(ansn, expires)) in &flat {
+            n.olsr.topology.entry(orig).or_default().push(TopoEntry { sel, ansn, expires });
+        }
+        for round in 0..2 {
+            n.olsr.recompute_mprs(NOW);
+            let mprs: BTreeSet<NodeId> = n.olsr.mprs().iter().copied().collect();
+            prop_assert_eq!(mprs, reference_mprs(&n.olsr, NOW), "MPR set, round {}", round);
+            n.olsr.recompute_routes(NOW);
+            let table: BTreeMap<NodeId, (NodeId, u32)> =
+                n.olsr.table().iter().map(|(&d, &e)| (d, e)).collect();
+            prop_assert_eq!(table, reference_routes(&n.olsr, NOW), "table, round {}", round);
+            // Round two reuses the scratch on a state changed by TCs.
+            for (i, (orig, ansn, selectors)) in tcs.iter().cloned().enumerate() {
+                let seq = (round * tcs.len() + i) as u16;
+                let tc = Tc { originator: orig, ansn, seq, ttl: 1, selectors };
+                reference_tc(&mut flat, me, &tc, NOW + OlsrConfig::default().topology_hold);
+                n.tc_from(0, tc);
+                prop_assert_eq!(flat_topology(&n.olsr), flat.clone(), "after TC {}", seq);
+            }
+        }
+        // The digest's topology section is byte-identical to the flat
+        // layout's. With links, two-hop, MPR and selector sets empty,
+        // it starts after their four zero counts.
+        let mut bare = Olsr::new(me, OlsrConfig::default());
+        bare.topology = n.olsr.topology.clone();
+        let mut digest = Vec::new();
+        bare.verification_digest(&mut digest);
+        let expected = reference_topology_digest(&flat);
+        prop_assert_eq!(&digest[32..32 + expected.len()], &expected[..]);
+    }
 }

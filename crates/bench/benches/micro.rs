@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the hot paths: the loop-freedom conditions, the
-//! routing table (Procedure 3), message codecs, the event queue and the
-//! RNG. These bound the per-event cost of the simulator and the
-//! per-packet cost of an LDR node.
+//! routing table (Procedure 3), message codecs, the event queue, the
+//! RNG and OLSR's MPR and route recomputation. These bound the
+//! per-event cost of the simulator and the per-packet cost of a node.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldr::invariants::{fdc_violated, ndc_accepts, sdc_allows, strengthen, Invariants, Solicited};
@@ -161,6 +161,73 @@ fn bench_trace_overhead(c: &mut Criterion) {
     });
 }
 
+/// One OLSR node's view of a fixed 50-node field (the paper's
+/// 1500 m x 300 m, 275 m range): a hello from every current neighbour,
+/// a TC from every other node, and hellos from former neighbours that
+/// expired but are not cleaned up yet. Built through the public
+/// callbacks, so it holds exactly what a running node would.
+fn olsr_n50_state() -> (manet_baselines::olsr::Olsr, SimTime) {
+    use manet_baselines::olsr::messages::{Hello, Tc};
+    use manet_baselines::olsr::{Olsr, OlsrConfig};
+    use manet_sim::packet::{ControlKind, ControlPacket};
+    use manet_sim::protocol::{Ctx, RoutingProtocol};
+
+    const N: usize = 50;
+    let mut rng = SimRng::from_seed(50);
+    let pos: Vec<(f64, f64)> =
+        (0..N).map(|_| (rng.below(1500) as f64, rng.below(300) as f64)).collect();
+    let within = |a: usize, b: usize, r: f64| {
+        let (dx, dy) = (pos[a].0 - pos[b].0, pos[a].1 - pos[b].1);
+        a != b && dx * dx + dy * dy <= r * r
+    };
+    let ids = |f: &dyn Fn(usize) -> bool| -> Vec<NodeId> {
+        (0..N).filter(|&j| f(j)).map(|j| NodeId(j as u16)).collect()
+    };
+    // The viewer is the node nearest the middle of the field.
+    let me = (0..N)
+        .min_by_key(|&i| ((pos[i].0 - 750.0).abs() + (pos[i].1 - 150.0).abs()) as u64)
+        .unwrap_or(0);
+    let mut olsr = Olsr::new(NodeId(me as u16), OlsrConfig::default());
+    let mut deliver = |olsr: &mut Olsr, at: SimTime, prev: usize, kind, bytes| {
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::new(at, NodeId(me as u16), N, &mut rng, &mut actions);
+        olsr.handle_control(&mut ctx, NodeId(prev as u16), ControlPacket { kind, bytes }, true);
+    };
+    let (then, now) = (SimTime::from_secs(1), SimTime::from_secs(10));
+    for j in (0..N).filter(|&j| !within(me, j, 275.0) && within(me, j, 400.0)) {
+        let h = Hello { sym: ids(&|k| within(j, k, 275.0)), heard: vec![], mpr: vec![] };
+        deliver(&mut olsr, then, j, ControlKind::Hello, h.encode());
+    }
+    let first = (0..N).find(|&j| within(me, j, 275.0)).unwrap_or(0);
+    for o in (0..N).filter(|&o| o != me) {
+        let selectors = ids(&|k| k > o && within(o, k, 275.0));
+        let tc = Tc { originator: NodeId(o as u16), ansn: 1, seq: 1, ttl: 32, selectors };
+        deliver(&mut olsr, now, first, ControlKind::Tc, tc.encode());
+    }
+    for j in (0..N).filter(|&j| within(me, j, 275.0)) {
+        let h = Hello { sym: ids(&|k| within(j, k, 275.0)), heard: vec![], mpr: vec![] };
+        deliver(&mut olsr, now, j, ControlKind::Hello, h.encode());
+    }
+    (olsr, now)
+}
+
+/// Per-call cost of OLSR's two recomputations, without the simulator.
+fn bench_olsr(c: &mut Criterion) {
+    let (mut olsr, now) = olsr_n50_state();
+    c.bench_function("olsr/recompute_mprs_n50", |b| {
+        b.iter(|| {
+            olsr.recompute_mprs(now);
+            black_box(olsr.mprs().len())
+        })
+    });
+    c.bench_function("olsr/recompute_routes_n50", |b| {
+        b.iter(|| {
+            olsr.recompute_routes(now);
+            black_box(olsr.table().len())
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_invariants,
@@ -168,6 +235,7 @@ criterion_group!(
     bench_messages,
     bench_event_queue,
     bench_rng,
-    bench_trace_overhead
+    bench_trace_overhead,
+    bench_olsr
 );
 criterion_main!(benches);
