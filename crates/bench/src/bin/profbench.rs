@@ -8,9 +8,8 @@
 //!     --out-dir telemetry-prof --table results/profbench.txt
 //! ```
 //!
-//! Profiles every paper protocol on both paper scenarios (plus a
-//! multi-worker LDR case for the parallel-efficiency breakdown),
-//! asserts that at least `--min-attribution` percent of measured
+//! Profiles every paper protocol on both paper scenarios, asserts
+//! that at least `--min-attribution` percent of measured
 //! kernel wall time lands in named phases, and — with
 //! `--check-purity` — asserts the on-vs-off byte-identity
 //! differential (metrics/trace/series unchanged by profiling, prof
@@ -99,15 +98,6 @@ fn main() {
             ));
             views.push(run.view);
         }
-        // One multi-worker case per scenario for the
-        // parallel-efficiency breakdown.
-        if protocols.contains(&Protocol::Ldr) {
-            let par = Scenario { workers: 4, ..scenario.clone() };
-            eprintln!("profbench: LDR on {} with workers=4 ...", scenario.label());
-            let run = run_profiled(Protocol::Ldr, &par, par.seed_base);
-            docs.push((format!("prof-{}-ldr-w4.jsonl", scenario.label()), run.doc));
-            views.push(run.view);
-        }
     }
 
     let report = render_report(&views, top_k);
@@ -147,18 +137,11 @@ fn main() {
         for scenario in &scenarios {
             let short = Scenario { duration_secs: duration.min(30), ..scenario.clone() };
             for &protocol in &protocols {
-                for workers in [1usize, 2] {
-                    let case = Scenario { workers, ..short.clone() };
-                    match purity_check(protocol, &case, case.seed_base) {
-                        Ok(()) => eprintln!(
-                            "purity OK: {} {} workers={workers}",
-                            protocol.name(),
-                            case.label()
-                        ),
-                        Err(e) => {
-                            eprintln!("PURITY FAILED: {e}");
-                            failed = true;
-                        }
+                match purity_check(protocol, &short, short.seed_base) {
+                    Ok(()) => eprintln!("purity OK: {} {}", protocol.name(), short.label()),
+                    Err(e) => {
+                        eprintln!("PURITY FAILED: {e}");
+                        failed = true;
                     }
                 }
             }

@@ -12,7 +12,6 @@
 pub mod experiments;
 pub mod forensics;
 pub mod perf;
-pub mod perf_parallel;
 pub mod profiling;
 pub mod report;
 pub mod runner;

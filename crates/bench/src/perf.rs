@@ -26,8 +26,6 @@ pub struct TrialTiming {
     pub wall_s: f64,
     /// Events the kernel executed.
     pub events: u64,
-    /// Windows the parallel kernel fanned out (0 on sequential runs).
-    pub parallel_windows: u64,
     /// The run's metrics (for the identity cross-check).
     pub metrics: Metrics,
 }
@@ -41,12 +39,7 @@ pub fn run_timed(protocol: Protocol, scenario: &Scenario, seed: u64) -> TrialTim
     world.run_until(SimTime::ZERO + SimDuration::from_secs(scenario.duration_secs));
     world.finalize();
     let wall_s = start.elapsed().as_secs_f64();
-    TrialTiming {
-        wall_s,
-        events: world.events_executed(),
-        parallel_windows: world.parallel_windows(),
-        metrics: world.metrics().clone(),
-    }
+    TrialTiming { wall_s, events: world.events_executed(), metrics: world.metrics().clone() }
 }
 
 /// Aggregated timings of one `(scenario, protocol)` cell: grid and

@@ -2,8 +2,8 @@
 //!
 //! Runs profiled trials ([`run_profiled`]), parses exported
 //! `manet-prof` JSONL back into a [`ProfView`] (the shape `tracegrep
-//! --prof` consumes), renders the attribution report — top-K phases,
-//! per-protocol cost table, parallel-efficiency breakdown — and hosts
+//! --prof` consumes), renders the attribution report — top-K phases
+//! and the per-protocol cost table — and hosts
 //! the on-vs-off purity differential ([`purity_check`]) that CI's
 //! prof-smoke job asserts.
 
@@ -11,24 +11,23 @@ use crate::forensics::Json;
 use crate::runner::build_world_telemetry;
 use crate::scenario::{Protocol, Scenario};
 use crate::telemetry_export::render_run;
-use manet_sim::prof::{deterministic_section, prof_to_jsonl, ProfSnapshot};
+use manet_sim::prof::{deterministic_section, prof_to_jsonl, PROF_SCHEMA, PROF_VERSION};
 use manet_sim::telemetry::TelemetryConfig;
 use manet_sim::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
 
-/// A parsed (or freshly measured) profile of one run — everything the
-/// report renderer needs, whether the numbers came from a live
-/// [`ProfSnapshot`] or from a `manet-prof` JSONL file on disk.
+/// A parsed profile of one run — everything the report renderer
+/// needs, whether the document was just rendered from a live
+/// [`manet_sim::prof::ProfSnapshot`] or read from a `manet-prof` JSONL
+/// file on disk.
 #[derive(Clone, Debug)]
 pub struct ProfView {
     /// Protocol name from the header.
     pub protocol: String,
     /// Scenario label from the header.
     pub scenario: String,
-    /// Kernel worker threads.
-    pub workers: u64,
     /// Deterministic counters, in document order (phase counts, pool
-    /// hit/miss, `events_executed`, `parallel_windows`).
+    /// hit/miss, `events_executed`).
     pub counts: Vec<(String, u64)>,
     /// Histograms: name → per-bucket counts (power-of-two buckets).
     pub hists: Vec<(String, Vec<u64>)>,
@@ -39,39 +38,21 @@ pub struct ProfView {
 }
 
 impl ProfView {
-    /// Builds a view from a live snapshot plus its header fields.
-    pub fn from_snapshot(
-        seed: u64,
-        nodes: usize,
-        workers: usize,
-        protocol: &str,
-        scenario: &str,
-        snap: &ProfSnapshot,
-    ) -> Self {
-        let doc = prof_to_jsonl(seed, nodes, workers, protocol, scenario, snap);
-        // Round-trip through the renderer: one code path defines the
-        // document, the parser is its single consumer.
-        match ProfView::parse(&doc) {
-            Ok(v) => v,
-            Err(e) => unreachable!("self-rendered prof document must parse: {e}"),
-        }
-    }
-
-    /// Parses one `manet-prof` JSONL document.
+    /// Parses one `manet-prof` JSONL document of the current
+    /// [`PROF_VERSION`].
     pub fn parse(doc: &str) -> Result<ProfView, String> {
         let mut lines = doc.lines();
         let head = lines.next().ok_or("empty prof document")?;
         let head = Json::parse(head).ok_or_else(|| format!("unparseable header: {head}"))?;
-        if head.str_field("schema") != Some("manet-prof") {
+        if head.str_field("schema") != Some(PROF_SCHEMA) {
             return Err(format!("not a manet-prof file (schema {:?})", head.str_field("schema")));
         }
-        if head.u64_field("version") != Some(1) {
+        if head.u64_field("version") != Some(u64::from(PROF_VERSION)) {
             return Err(format!("unsupported manet-prof version {:?}", head.u64_field("version")));
         }
         let mut view = ProfView {
             protocol: head.str_field("protocol").unwrap_or("?").to_string(),
             scenario: head.str_field("scenario").unwrap_or("?").to_string(),
-            workers: head.u64_field("workers").unwrap_or(1),
             counts: Vec::new(),
             hists: Vec::new(),
             timings: Vec::new(),
@@ -176,22 +157,13 @@ pub fn run_profiled(protocol: Protocol, scenario: &Scenario, seed: u64) -> ProfR
         Some(s) => s,
         None => unreachable!("profile was just enabled"),
     };
-    let doc = prof_to_jsonl(
-        seed,
-        profiled.n_nodes,
-        profiled.workers.max(1),
-        &protocol.name(),
-        &profiled.label(),
-        &snap,
-    );
-    let view = ProfView::from_snapshot(
-        seed,
-        profiled.n_nodes,
-        profiled.workers.max(1),
-        &protocol.name(),
-        &profiled.label(),
-        &snap,
-    );
+    let doc = prof_to_jsonl(seed, profiled.n_nodes, &protocol.name(), &profiled.label(), &snap);
+    // Round-trip through the renderer: one code path defines the
+    // document, the parser is its single consumer.
+    let view = match ProfView::parse(&doc) {
+        Ok(v) => v,
+        Err(e) => unreachable!("self-rendered prof document must parse: {e}"),
+    };
     ProfRun { view, doc, events }
 }
 
@@ -204,17 +176,15 @@ fn pct(part: u64, total: u64) -> f64 {
 }
 
 /// Renders the attribution report for a set of profiles: per-run
-/// top-K phase tables, the per-protocol cost table, and a
-/// parallel-efficiency breakdown for multi-worker runs.
+/// top-K phase tables and the per-protocol cost table.
 pub fn render_report(views: &[ProfView], top_k: usize) -> String {
     let mut out = String::new();
     for v in views {
         let _ = writeln!(
             out,
-            "== {} · {} · workers={} ==  total {:.3} ms, attribution {:.2}%",
+            "== {} · {} ==  total {:.3} ms, attribution {:.2}%",
             v.protocol,
             v.scenario,
-            v.workers,
             v.total_nanos as f64 / 1e6,
             100.0 * v.attribution(),
         );
@@ -235,55 +205,23 @@ pub fn render_report(views: &[ProfView], top_k: usize) -> String {
     let _ = writeln!(out, "-- per-protocol cost --");
     let _ = writeln!(
         out,
-        "{:<12} {:<14} {:>3} {:>12} {:>11} {:>9} {:>12} {:>7}",
-        "protocol", "scenario", "w", "events", "wall ms", "ns/event", "events/s", "attr%"
+        "{:<12} {:<14} {:>12} {:>11} {:>9} {:>12} {:>7}",
+        "protocol", "scenario", "events", "wall ms", "ns/event", "events/s", "attr%"
     );
     for v in views {
         let events = v.count("events_executed");
         let ns_per_event = if events == 0 { 0.0 } else { v.total_nanos as f64 / events as f64 };
         let _ = writeln!(
             out,
-            "{:<12} {:<14} {:>3} {:>12} {:>11.3} {:>9.1} {:>12.0} {:>6.2}%",
+            "{:<12} {:<14} {:>12} {:>11.3} {:>9.1} {:>12.0} {:>6.2}%",
             v.protocol,
             v.scenario,
-            v.workers,
             events,
             v.total_nanos as f64 / 1e6,
             ns_per_event,
             v.events_per_sec(),
             100.0 * v.attribution(),
         );
-    }
-
-    let parallel: Vec<&ProfView> = views.iter().filter(|v| v.workers >= 2).collect();
-    if !parallel.is_empty() {
-        out.push('\n');
-        let _ = writeln!(out, "-- parallel efficiency --");
-        let _ = writeln!(
-            out,
-            "{:<12} {:<14} {:>3} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}",
-            "protocol", "scenario", "w", "plan%", "build%", "exec%", "replay%", "seq%", "windows"
-        );
-        for v in parallel {
-            let plan = v.timing("par_plan");
-            let build = v.timing("par_build");
-            let exec = v.timing("par_execute");
-            let replay = v.timing("par_replay");
-            let seq = v.total_nanos.saturating_sub(plan + build + exec + replay);
-            let _ = writeln!(
-                out,
-                "{:<12} {:<14} {:>3} {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>10}",
-                v.protocol,
-                v.scenario,
-                v.workers,
-                pct(plan, v.total_nanos),
-                pct(build, v.total_nanos),
-                pct(exec, v.total_nanos),
-                pct(replay, v.total_nanos),
-                pct(seq, v.total_nanos),
-                v.count("parallel_windows"),
-            );
-        }
     }
     out
 }
@@ -349,6 +287,7 @@ pub fn purity_check(protocol: Protocol, scenario: &Scenario, seed: u64) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_sim::event::Event;
 
     fn tiny() -> Scenario {
         Scenario { duration_secs: 12, trials: 1, ..Scenario::n50(3, 0) }
@@ -371,14 +310,22 @@ mod tests {
 
     #[test]
     fn report_renders_all_sections() {
-        let seq = run_profiled(Protocol::Ldr, &tiny(), 5);
-        let par = run_profiled(Protocol::Aodv, &Scenario { workers: 2, ..tiny() }, 5);
-        let report = render_report(&[seq.view, par.view.clone()], 8);
+        let ldr = run_profiled(Protocol::Ldr, &tiny(), 5);
+        let aodv = run_profiled(Protocol::Aodv, &tiny(), 5);
+        let report = render_report(&[ldr.view, aodv.view], 8);
+        assert!(report.contains("== LDR · n50-f3-p0 =="));
+        assert!(report.contains("== AODV · n50-f3-p0 =="));
         assert!(report.contains("-- per-protocol cost --"));
-        assert!(report.contains("-- parallel efficiency --"));
-        assert!(report.contains("LDR"));
-        assert!(report.contains("AODV"));
-        assert!(par.view.workers == 2);
+    }
+
+    #[test]
+    fn rendered_document_parses_at_the_current_version() {
+        let snap = manet_sim::prof::Profiler::new().snapshot([0; Event::KIND_COUNT], 0);
+        let doc = prof_to_jsonl(1, 2, "LDR", "s", &snap);
+        let view = ProfView::parse(&doc).expect("a freshly rendered document must parse");
+        assert_eq!((view.protocol.as_str(), view.scenario.as_str()), ("LDR", "s"));
+        assert_eq!(view.count("events_executed"), 0);
+        assert_eq!(view.hists.len(), manet_sim::prof::N_HISTS);
     }
 
     #[test]
@@ -390,6 +337,8 @@ mod tests {
     fn parse_rejects_foreign_documents() {
         assert!(ProfView::parse("").is_err());
         assert!(ProfView::parse("{\"schema\":\"manet-trace\",\"version\":1}").is_err());
-        assert!(ProfView::parse("{\"schema\":\"manet-prof\",\"version\":2}").is_err());
+        assert!(ProfView::parse("{\"schema\":\"manet-prof\",\"version\":1}").is_err());
+        let next = format!("{{\"schema\":\"manet-prof\",\"version\":{}}}", PROF_VERSION + 1);
+        assert!(ProfView::parse(&next).is_err());
     }
 }

@@ -69,7 +69,7 @@ pub fn build_world_telemetry(
         fault_plan: plan,
         spatial_grid: scenario.spatial_grid,
         telemetry,
-        workers: scenario.workers,
+        workers: 1,
         recycle_pools: scenario.recycle_pools,
         profile: scenario.profile,
     };
@@ -122,16 +122,6 @@ pub fn trial_seeds(scenario: &Scenario) -> Vec<u64> {
     seeds
 }
 
-/// Trial-pool width for a scenario: the host's cores divided by the
-/// inner kernel workers each trial itself spawns, so the product never
-/// oversubscribes the machine (the pre-PR-9 runner spawned
-/// `trials × workers` threads with no cap at all).
-pub fn pool_threads(scenario: &Scenario) -> usize {
-    let cores = workpool::host_cores();
-    let inner = scenario.workers.max(1);
-    (cores / inner).clamp(1, cores)
-}
-
 /// Shared trial loop: derives the seeds, fans `run(k, seed)` out over
 /// the bounded pool, folds successes into the summary, and records a
 /// panicking trial as a [`crate::report::TrialFailure`] instead of
@@ -144,7 +134,7 @@ fn run_trials_core(
     let seeds = trial_seeds(scenario);
     let jobs: Vec<_> =
         seeds.iter().enumerate().map(|(i, &seed)| move || run(i as u32, seed)).collect();
-    let (results, stats) = workpool::run_jobs(pool_threads(scenario), jobs);
+    let (results, stats) = workpool::run_jobs(workpool::host_cores(), jobs);
     let mut summary = Summary::new(protocol.name());
     for (i, r) in results.into_iter().enumerate() {
         match r {
@@ -385,10 +375,8 @@ mod tests {
 
     #[test]
     fn trial_pool_is_bounded_by_host_cores_not_trials_times_workers() {
-        // workers = 4 inner kernel threads per trial: the pre-PR-9
-        // runner would have run all trials at once (trials × workers
-        // OS threads). The pool must instead divide the host's cores
-        // by the inner width.
+        // More trials than this host has cores: an unbounded runner
+        // would run all of them at once, one OS thread each.
         let scenario = Scenario {
             n_nodes: 15,
             terrain: (700.0, 300.0),
@@ -400,25 +388,18 @@ mod tests {
             flavor: crate::scenario::SimFlavor::Default,
             audit: false,
             spatial_grid: true,
-            workers: 4,
+            workers: 1,
             recycle_pools: true,
             profile: false,
         };
         let cores = crate::workpool::host_cores();
-        let cap = pool_threads(&scenario);
-        assert!(cap <= cores, "pool cap must never exceed the host");
-        assert!(
-            cap * scenario.workers <= cores.max(scenario.workers),
-            "trial-level × kernel-level threads would oversubscribe: {cap} × {}",
-            scenario.workers
-        );
         let (summary, stats) = run_trials_core(Protocol::Aodv, &scenario, &|_k, seed| {
             run_once(Protocol::Aodv, &scenario, seed)
         });
         assert_eq!(summary.trials(), 5);
         assert!(
-            stats.peak_live_workers <= cap,
-            "peak live trial threads {} exceeded the cap {cap}",
+            stats.peak_live_workers <= cores,
+            "peak live trial threads {} exceeded the host's {cores} cores",
             stats.peak_live_workers
         );
     }

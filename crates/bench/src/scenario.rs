@@ -145,9 +145,10 @@ pub struct Scenario {
     /// only faster — so it defaults to on; perfbench flips it off to
     /// time the reference baseline.
     pub spatial_grid: bool,
-    /// Worker threads for the deterministic parallel event kernel
-    /// (`manet_sim::parallel`). `0`/`1` run the sequential kernel; any
-    /// value is byte-identical, so this only changes wall-clock time.
+    /// Ignored: the simulator has one sequential event loop. Kept only
+    /// so the frozen `simbench/` harness, which copies it into
+    /// [`manet_sim::config::SimConfig::workers`], still compiles; it
+    /// goes when `simbench/` is next revised.
     pub workers: usize,
     /// Recycle hot-path buffers through the kernel's free lists
     /// ([`manet_sim::pool`]). Byte-identical to allocate-per-event —

@@ -384,8 +384,7 @@ pub struct SweepConfig {
     /// Completion journal (JSONL, appended as cells finish).
     pub journal: PathBuf,
     /// Worker-pool width. Callers should derive this from
-    /// [`workpool::host_cores`] divided by the cells' inner kernel
-    /// workers — never `cells × workers`.
+    /// [`workpool::host_cores`].
     pub threads: usize,
     /// Stop scheduling after this many *executed* cells (interruption
     /// hook for the resumability tests); `None` runs everything.
@@ -644,8 +643,8 @@ impl SweepOutcome {
             let label =
                 format!("{}/L{} {}", cell.scenario_name, cell.fault_level, cell.protocol.name());
             let slot = *index.entry(label.clone()).or_insert(i);
-            let denom = cell.scenario.duration_secs * cell.scenario.workers.max(1) as u64;
-            let entry = groups.entry(slot).or_insert_with(|| (label, Vec::new(), 0, denom));
+            let secs = cell.scenario.duration_secs;
+            let entry = groups.entry(slot).or_insert_with(|| (label, Vec::new(), 0, secs));
             match rec {
                 Some(CellRecord::Done(m)) => entry.1.push(m),
                 Some(CellRecord::Failed { .. }) => entry.2 += 1,
@@ -664,7 +663,7 @@ impl SweepOutcome {
             "ev/ssc",
             "failed"
         );
-        for (_, (label, ms, failed, denom)) in groups {
+        for (_, (label, ms, failed, secs)) in groups {
             let n = ms.len();
             let mean = |f: fn(&CellMetrics) -> f64| -> f64 {
                 if n == 0 {
@@ -677,7 +676,7 @@ impl SweepOutcome {
             // Events per simulated second per core: deterministic (no
             // wall-clock), so the rendered table reproduces byte-exactly.
             let total_events: u64 = ms.iter().map(|m| m.events).sum();
-            let ev_ssc = crate::report::events_per_simsec_core(total_events, denom * n as u64, 1);
+            let ev_ssc = crate::report::events_per_simsec_core(total_events, secs * n as u64);
             let _ = writeln!(
                 s,
                 "{:<28} {:>6} {:>10.4} {:>12.4} {:>10.3} {:>7} {:>10.1} {:>7}",
@@ -725,8 +724,9 @@ mod tests {
         let mut c = cell(7, 0);
         c.scenario.duration_secs = 11;
         assert_ne!(a.key(), c.key(), "duration is code-relevant");
-        // The determinism contract: grid/workers change wall-clock
-        // only, so they must NOT invalidate cached cells.
+        // The determinism contract: these knobs change wall-clock
+        // only (`workers` is ignored outright), so they must NOT
+        // invalidate cached cells.
         let mut d = cell(7, 0);
         d.scenario.spatial_grid = false;
         d.scenario.workers = 4;

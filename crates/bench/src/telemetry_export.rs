@@ -67,14 +67,7 @@ pub fn render_run(
         Err(poisoned) => poisoned.into_inner().contents().to_string(),
     };
     let prof = world.prof_snapshot().map(|snap| {
-        prof_to_jsonl(
-            seed,
-            scenario.n_nodes,
-            scenario.workers.max(1),
-            &protocol.name(),
-            &scenario.label(),
-            &snap,
-        )
+        prof_to_jsonl(seed, scenario.n_nodes, &protocol.name(), &scenario.label(), &snap)
     });
     RenderedRun { metrics, trace, series, prof }
 }
@@ -163,7 +156,9 @@ mod tests {
             export_run(Protocol::Ldr, &scenario, 11, None, &dir, "smoke").expect("export");
         let prof_path = paths.prof.expect("profiled run exports a prof file");
         let prof = fs::read_to_string(&prof_path).expect("prof written");
-        assert!(prof.starts_with("{\"schema\":\"manet-prof\",\"version\":1,"), "{prof}");
+        let head =
+            format!("{{\"schema\":\"manet-prof\",\"version\":{},", manet_sim::prof::PROF_VERSION);
+        assert!(prof.starts_with(&head), "{prof}");
         assert!(prof.contains("\"protocol\":\"LDR\""));
         assert!(prof.contains("\"scenario\":\"n12-f3-p0\""));
         assert!(prof.contains("\"sect\":\"timing\",\"name\":\"total\""));

@@ -1,14 +1,13 @@
 //! A bounded work-stealing worker pool for trial and sweep execution.
 //!
-//! The pre-PR-9 runner spawned one OS thread per trial with no cap:
-//! composed with [`manet_sim::config::SimConfig::workers`] ≥ 2 that
-//! oversubscribed the host to `trials × workers` threads, and a single
-//! panicking trial aborted the whole batch via `join().expect(…)`,
-//! discarding every completed cell. This pool fixes both:
+//! An earlier runner spawned one OS thread per trial with no cap, and
+//! a single panicking trial aborted the whole batch via
+//! `join().expect(…)`, discarding every completed cell. This pool
+//! fixes both:
 //!
 //! * **Bounded**: at most `threads` worker OS threads exist at any
-//!   instant (callers size this against the host core count and any
-//!   inner kernel parallelism — see [`host_cores`]).
+//!   instant (callers size this against the host core count — see
+//!   [`host_cores`]).
 //! * **Work-stealing**: jobs are dealt round-robin onto per-worker
 //!   deques; a worker drains its own deque front-first and steals from
 //!   the back of its siblings' deques when idle, so a handful of slow

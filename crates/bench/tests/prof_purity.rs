@@ -11,10 +11,8 @@
 //! 3. a prof document present iff profiling is on,
 //! 4. rerun byte-determinism of the prof count/hist section.
 //!
-//! Exercised for every paper protocol, both paper scenarios (smoke
-//! durations) and both kernels — `workers=1` takes the sequential
-//! path, `workers=2` the windowed parallel path, whose plan/build/
-//! execute/replay spans are the likeliest place for a probe to leak.
+//! Exercised for every paper protocol on both paper scenarios (smoke
+//! durations).
 
 use ldr_bench::profiling::purity_check;
 use ldr_bench::scenario::{Protocol, Scenario};
@@ -36,18 +34,6 @@ fn profiling_is_observation_pure_on_the_sequential_kernel() {
         for proto in [Protocol::Ldr, Protocol::Aodv, Protocol::Dsr, Protocol::Olsr] {
             if let Err(e) = purity_check(proto, &scenario, seed) {
                 panic!("sequential purity violated: {e}");
-            }
-        }
-    }
-}
-
-#[test]
-fn profiling_is_observation_pure_on_the_parallel_kernel() {
-    for (mut scenario, seed) in smoke_scenarios() {
-        scenario.workers = 2;
-        for proto in [Protocol::Ldr, Protocol::Aodv, Protocol::Dsr, Protocol::Olsr] {
-            if let Err(e) = purity_check(proto, &scenario, seed) {
-                panic!("parallel purity violated: {e}");
             }
         }
     }

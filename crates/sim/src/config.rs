@@ -146,13 +146,12 @@ pub struct SimConfig {
     /// observable bit of the run (metrics and trace are byte-identical
     /// either way; enforced by test).
     pub telemetry: Option<TelemetryConfig>,
-    /// Worker threads for the deterministic parallel event kernel
-    /// ([`crate::parallel`]). `0` and `1` mean sequential execution;
-    /// ≥ 2 shards the world spatially and executes conservative time
-    /// windows on worker threads. Every worker count produces output
-    /// byte-identical to the sequential kernel (metrics, trace and
-    /// telemetry; enforced by differential tests), so this knob only
-    /// changes how fast the same answer is computed.
+    /// Ignored. The simulator has one sequential event loop; this
+    /// field once sized a parallel kernel whose output was
+    /// byte-identical for every worker count, so ignoring it changes
+    /// nothing. It is kept only so the frozen `simbench/` harness,
+    /// which sets it, still compiles, and goes when `simbench/` is
+    /// next revised.
     pub workers: usize,
     /// Recycle hot-path buffers (protocol action lists, receiver
     /// batches) through [`crate::pool::VecPool`] free lists instead of
@@ -163,13 +162,13 @@ pub struct SimConfig {
     /// allocate-per-event reference.
     pub recycle_pools: bool,
     /// Attach the deterministic kernel profiler ([`crate::prof`]):
-    /// per-phase wall-time attribution, phase counts, and FEL-depth /
-    /// window-size / component-count histograms, exported as
-    /// `manet-prof` JSONL. The profiler is strictly observational —
-    /// its wall-clock readings never feed simulation state, so a
-    /// profiled run is byte-identical (metrics, trace and telemetry)
-    /// to an unprofiled one (enforced by differential tests). Off by
-    /// default; when off, no wall clock is ever read.
+    /// per-phase wall-time attribution, phase counts and a FEL-depth
+    /// histogram, exported as `manet-prof` JSONL. The profiler is
+    /// strictly observational — its wall-clock readings never feed
+    /// simulation state, so a profiled run is byte-identical (metrics,
+    /// trace and telemetry) to an unprofiled one (enforced by
+    /// differential tests). Off by default; when off, no wall clock is
+    /// ever read.
     pub profile: bool,
 }
 

@@ -245,16 +245,6 @@ impl EventQueue {
         self.heap.first().map(|s| s.at)
     }
 
-    /// Visits every pending entry in arbitrary (heap-internal) order
-    /// without disturbing the queue. The parallel kernel
-    /// ([`crate::parallel`]) uses this to scan a time window's events
-    /// and classify them before deciding how to execute the window;
-    /// popping afterwards still yields the canonical `(time, seq)`
-    /// order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, &Event)> {
-        self.heap.iter().map(|s| (s.at, &s.event))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -35,7 +35,7 @@
 //!   [`SimConfig::telemetry`](config::SimConfig::telemetry));
 //! * a deterministic kernel profiler — per-phase wall-time
 //!   attribution (FEL churn, neighbor queries, dispatch, protocol
-//!   callbacks, the parallel pipeline), counts and histograms,
+//!   callbacks), counts and a FEL-depth histogram,
 //!   rendered as `manet-prof` JSONL with wall times segregated from
 //!   the byte-gated sections ([`prof`],
 //!   [`SimConfig::profile`](config::SimConfig::profile)).
@@ -82,7 +82,6 @@ pub mod mac;
 pub mod metrics;
 pub mod mobility;
 pub mod packet;
-pub mod parallel;
 pub mod pool;
 pub mod prof;
 pub mod protocol;

@@ -29,8 +29,8 @@
 //! The JSONL document has two sections:
 //!
 //! * `count` and `hist` lines are **deterministic**: they derive from
-//!   hook-site counters and simulation quantities (FEL depth, window
-//!   size, component count) only, so a rerun of the same
+//!   hook-site counters and simulation quantities (FEL depth) only,
+//!   so a rerun of the same
 //!   `(config, seed)` reproduces them byte-for-byte
 //!   ([`deterministic_section`] extracts exactly these lines, and the
 //!   rerun-determinism test pins them);
@@ -46,7 +46,9 @@ use std::time::Instant;
 /// Schema identifier of the profiler JSONL file.
 pub const PROF_SCHEMA: &str = "manet-prof";
 /// Schema version stamped into the header; bump on any field change.
-pub const PROF_VERSION: u32 = 1;
+/// Version 2 dropped the parallel-kernel phases, histograms and
+/// counter, and the header's `workers` field.
+pub const PROF_VERSION: u32 = 2;
 
 /// FEL insertion (`EventQueue::schedule`).
 pub const PHASE_FEL_PUSH: u16 = 0;
@@ -62,22 +64,13 @@ pub const PHASE_PROTOCOL: u16 = 4;
 pub const PHASE_TRACE_EMIT: u16 = 5;
 /// Telemetry time-series sampling (`World::take_sample`).
 pub const PHASE_TELEMETRY_SAMPLE: u16 = 6;
-/// Parallel kernel: window classification + spatial partitioning.
-pub const PHASE_PAR_PLAN: u16 = 7;
-/// Parallel kernel: window drain and per-component task assembly.
-pub const PHASE_PAR_BUILD: u16 = 8;
-/// Parallel kernel: shard execution on worker threads (fan-out to
-/// join, measured from the coordinator).
-pub const PHASE_PAR_EXECUTE: u16 = 9;
-/// Parallel kernel: canonical effect replay.
-pub const PHASE_PAR_REPLAY: u16 = 10;
 /// The kernel run loop itself — the bottom stack frame. Its self time
 /// (loop control, FEL peeks) is the only *unattributed* residue; see
 /// [`ProfSnapshot::attribution`].
-pub const PHASE_KERN_LOOP: u16 = 11;
+pub const PHASE_KERN_LOOP: u16 = 7;
 /// First per-event-kind dispatch phase; kind `k` is phase
 /// `DISPATCH_BASE + k` (order of [`Event::KIND_NAMES`]).
-pub const DISPATCH_BASE: u16 = 12;
+pub const DISPATCH_BASE: u16 = 8;
 /// Total number of phases (fixed phases plus one dispatch phase per
 /// event kind).
 pub const N_PHASES: usize = DISPATCH_BASE as usize + Event::KIND_COUNT;
@@ -91,10 +84,6 @@ pub const FIXED_PHASE_NAMES: [&str; DISPATCH_BASE as usize] = [
     "protocol_callback",
     "trace_emit",
     "telemetry_sample",
-    "par_plan",
-    "par_build",
-    "par_execute",
-    "par_replay",
     "kern_loop",
 ];
 
@@ -113,16 +102,11 @@ pub const HIST_BUCKETS: usize = 32;
 
 /// FEL-depth histogram index (depth observed at every pop).
 pub const HIST_FEL_DEPTH: usize = 0;
-/// Window-size histogram index (events drained per parallel window).
-pub const HIST_WINDOW_SIZE: usize = 1;
-/// Component-count histogram index (spatial components per parallel
-/// window).
-pub const HIST_COMPONENT_COUNT: usize = 2;
 /// Number of histograms.
-pub const N_HISTS: usize = 3;
+pub const N_HISTS: usize = 1;
 
 /// Names of the histograms, in index order.
-pub const HIST_NAMES: [&str; N_HISTS] = ["fel_depth", "window_size", "component_count"];
+pub const HIST_NAMES: [&str; N_HISTS] = ["fel_depth"];
 
 /// A power-of-two histogram: bucket `i` counts values needing `i`
 /// significant bits — bucket 0 holds `v == 0`, bucket `i` holds
@@ -239,14 +223,11 @@ impl Profiler {
     }
 
     /// A copyable snapshot of everything accumulated so far. The
-    /// caller supplies the kernel-truth dispatch counters (they also
-    /// count events replayed from parallel workers, which never pass
-    /// through a dispatch span).
+    /// caller supplies the kernel's own dispatch counters.
     pub fn snapshot(
         &self,
         dispatch_counts: [u64; Event::KIND_COUNT],
         events_executed: u64,
-        parallel_windows: u64,
     ) -> ProfSnapshot {
         ProfSnapshot {
             nanos: self.nanos,
@@ -256,7 +237,6 @@ impl Profiler {
             hists: self.hists,
             dispatch_counts,
             events_executed,
-            parallel_windows,
         }
     }
 }
@@ -275,13 +255,10 @@ pub struct ProfSnapshot {
     pub pool_misses: u64,
     /// The log2 histograms ([`HIST_NAMES`] order).
     pub hists: [[u64; HIST_BUCKETS]; N_HISTS],
-    /// Kernel dispatch counters by event kind (includes events
-    /// replayed from parallel workers).
+    /// Kernel dispatch counters by event kind.
     pub dispatch_counts: [u64; Event::KIND_COUNT],
     /// Total events the kernel executed.
     pub events_executed: u64,
-    /// Windows the parallel kernel fanned out.
-    pub parallel_windows: u64,
 }
 
 impl ProfSnapshot {
@@ -311,32 +288,25 @@ impl ProfSnapshot {
 }
 
 /// The prof file's header line.
-pub fn prof_header(
-    seed: u64,
-    nodes: usize,
-    workers: usize,
-    protocol: &str,
-    scenario: &str,
-) -> String {
+pub fn prof_header(seed: u64, nodes: usize, protocol: &str, scenario: &str) -> String {
     format!(
-        "{{\"schema\":\"{PROF_SCHEMA}\",\"version\":{PROF_VERSION},\"seed\":{seed},\"nodes\":{nodes},\"workers\":{workers},\"protocol\":\"{}\",\"scenario\":\"{}\"}}",
+        "{{\"schema\":\"{PROF_SCHEMA}\",\"version\":{PROF_VERSION},\"seed\":{seed},\"nodes\":{nodes},\"protocol\":\"{}\",\"scenario\":\"{}\"}}",
         crate::telemetry::json_escape(protocol),
         crate::telemetry::json_escape(scenario),
     )
 }
 
-/// Renders a snapshot as a `manet-prof/1` JSONL document: header,
+/// Renders a snapshot as a `manet-prof/2` JSONL document: header,
 /// then the deterministic `count` and `hist` sections, then the
 /// non-gated `timing` section (see the module docs for the contract).
 pub fn prof_to_jsonl(
     seed: u64,
     nodes: usize,
-    workers: usize,
     protocol: &str,
     scenario: &str,
     snap: &ProfSnapshot,
 ) -> String {
-    let mut out = prof_header(seed, nodes, workers, protocol, scenario);
+    let mut out = prof_header(seed, nodes, protocol, scenario);
     out.push('\n');
     let mut i = 0u64;
     let count_line = |out: &mut String, i: &mut u64, name: &str, count: u64| {
@@ -347,16 +317,14 @@ pub fn prof_to_jsonl(
     for (p, name) in FIXED_PHASE_NAMES.iter().enumerate().take(DISPATCH_BASE as usize) {
         count_line(&mut out, &mut i, name, snap.counts[p]);
     }
-    // Dispatch counts come from the kernel's own counters: the
-    // parallel kernel counts replayed events there too, while a
-    // dispatch *span* only opens on the sequential path.
+    // Dispatch counts come from the kernel's own counters, which are
+    // kept whether or not the profiler is attached.
     for (k, name) in Event::KIND_NAMES.iter().enumerate() {
         count_line(&mut out, &mut i, &format!("dispatch_{name}"), snap.dispatch_counts[k]);
     }
     count_line(&mut out, &mut i, "pool_hit", snap.pool_hits);
     count_line(&mut out, &mut i, "pool_miss", snap.pool_misses);
     count_line(&mut out, &mut i, "events_executed", snap.events_executed);
-    count_line(&mut out, &mut i, "parallel_windows", snap.parallel_windows);
     for (h, name) in HIST_NAMES.iter().enumerate() {
         let buckets = &snap.hists[h];
         let last = buckets.iter().rposition(|&b| b > 0).map_or(0, |p| p + 1);
@@ -418,10 +386,9 @@ mod tests {
         prof.pool_event(false);
         prof.record_hist(HIST_FEL_DEPTH, 0);
         prof.record_hist(HIST_FEL_DEPTH, 5);
-        prof.record_hist(HIST_WINDOW_SIZE, 17);
         let mut dispatch = [0u64; Event::KIND_COUNT];
         dispatch[2] = 1;
-        prof.snapshot(dispatch, 1, 0)
+        prof.snapshot(dispatch, 1)
     }
 
     #[test]
@@ -461,12 +428,12 @@ mod tests {
     #[test]
     fn jsonl_document_is_schema_versioned_and_sectioned() {
         let snap = filled_snapshot();
-        let doc = prof_to_jsonl(42, 50, 1, "LDR", "n50-f10-p0", &snap);
+        let doc = prof_to_jsonl(42, 50, "LDR", "n50-f10-p0", &snap);
         let mut lines = doc.lines();
         let head = lines.next().expect("header");
         assert_eq!(
             head,
-            "{\"schema\":\"manet-prof\",\"version\":1,\"seed\":42,\"nodes\":50,\"workers\":1,\"protocol\":\"LDR\",\"scenario\":\"n50-f10-p0\"}"
+            "{\"schema\":\"manet-prof\",\"version\":2,\"seed\":42,\"nodes\":50,\"protocol\":\"LDR\",\"scenario\":\"n50-f10-p0\"}"
         );
         assert!(doc.contains("\"sect\":\"count\",\"name\":\"fel_push\""));
         assert!(doc.contains("\"sect\":\"count\",\"name\":\"dispatch_rx_end\",\"count\":1"));
@@ -482,7 +449,7 @@ mod tests {
     #[test]
     fn deterministic_section_strips_exactly_the_timing_lines() {
         let snap = filled_snapshot();
-        let doc = prof_to_jsonl(42, 50, 1, "LDR", "n50-f10-p0", &snap);
+        let doc = prof_to_jsonl(42, 50, "LDR", "n50-f10-p0", &snap);
         let det = deterministic_section(&doc);
         assert!(!det.contains("\"sect\":\"timing\""));
         assert!(det.contains("\"schema\":\"manet-prof\""));
@@ -496,8 +463,8 @@ mod tests {
     fn reruns_of_the_same_span_sequence_agree_on_the_deterministic_section() {
         let a = filled_snapshot();
         let b = filled_snapshot();
-        let da = deterministic_section(&prof_to_jsonl(1, 2, 1, "p", "s", &a));
-        let db = deterministic_section(&prof_to_jsonl(1, 2, 1, "p", "s", &b));
+        let da = deterministic_section(&prof_to_jsonl(1, 2, "p", "s", &a));
+        let db = deterministic_section(&prof_to_jsonl(1, 2, "p", "s", &b));
         assert_eq!(da, db, "counts and histograms must not depend on wall time");
     }
 }

@@ -7,7 +7,7 @@
 //! the run seed, so a `(configuration, seed)` pair replays exactly.
 
 use crate::audit::{ForensicReport, InvariantAuditor};
-use crate::config::{PhyConfig, SimConfig};
+use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::faults::{FaultAction, FaultState, RxFate};
 use crate::loopcheck::{find_loops, LoopViolation};
@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 /// Link-layer frame payload.
 #[derive(Clone, Debug)]
-pub(crate) enum FramePayload {
+enum FramePayload {
     /// A network-layer packet.
     Packet(Packet),
     /// A link-layer acknowledgement for transmission `acked_tx`.
@@ -43,11 +43,11 @@ pub(crate) enum FramePayload {
 
 /// A link-layer frame on the air.
 #[derive(Clone, Debug)]
-pub(crate) struct Frame {
-    pub(crate) src: NodeId,
+struct Frame {
+    src: NodeId,
     /// `None` is a link broadcast.
-    pub(crate) dst: Option<NodeId>,
-    pub(crate) payload: FramePayload,
+    dst: Option<NodeId>,
+    payload: FramePayload,
 }
 
 /// A reception in progress at one node.
@@ -55,17 +55,15 @@ pub(crate) struct Frame {
 /// The frame is shared (`Arc`) across every receiver of one
 /// transmission: at 100-node scale a broadcast reaches dozens of
 /// stations, and deep-cloning the packet per receiver dominated
-/// `propagate`'s cost. Atomic (rather than `Rc`) so node slots can
-/// move to worker threads under the parallel kernel
-/// ([`crate::parallel`]).
+/// `propagate`'s cost.
 #[derive(Clone, Debug)]
-pub(crate) struct RxInProgress {
-    pub(crate) tx_id: u64,
-    pub(crate) frame: Arc<Frame>,
-    pub(crate) end: SimTime,
-    pub(crate) corrupted: bool,
+struct RxInProgress {
+    tx_id: u64,
+    frame: Arc<Frame>,
+    end: SimTime,
+    corrupted: bool,
     /// Transmitter-to-receiver distance, for the capture model.
-    pub(crate) sender_dist: f64,
+    sender_dist: f64,
 }
 
 /// Deterministic avalanche hasher for `u64` keys (splitmix64 finalizer).
@@ -74,7 +72,7 @@ pub(crate) struct RxInProgress {
 /// sets hashed with this are only ever probed, never iterated, so the
 /// swap cannot perturb determinism.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct U64Hasher {
+struct U64Hasher {
     hash: u64,
 }
 
@@ -97,18 +95,18 @@ impl std::hash::Hasher for U64Hasher {
     }
 }
 
-pub(crate) type U64Build = std::hash::BuildHasherDefault<U64Hasher>;
+type U64Build = std::hash::BuildHasherDefault<U64Hasher>;
 
 /// Bounded remember-set for MAC-level duplicate suppression.
 #[derive(Debug, Default)]
-pub(crate) struct RecentCache {
+struct RecentCache {
     order: VecDeque<u64>,
     set: HashSet<u64, U64Build>,
 }
 
 impl RecentCache {
     /// Inserts a uid; returns `false` if it was already present.
-    pub(crate) fn insert(&mut self, uid: u64) -> bool {
+    fn insert(&mut self, uid: u64) -> bool {
         if !self.set.insert(uid) {
             return false;
         }
@@ -122,23 +120,22 @@ impl RecentCache {
     }
 }
 
-pub(crate) struct NodeSlot {
-    pub(crate) mac: Mac,
-    pub(crate) protocol: Box<dyn RoutingProtocol>,
-    pub(crate) proto_rng: SimRng,
-    pub(crate) rx: Vec<RxInProgress>,
-    pub(crate) recent: RecentCache,
-    /// Per-node packet-uid counter; uids are `(node << 48) | ctr`, so
-    /// allocation is node-local and the parallel kernel needs no
-    /// shared counter. Uniqueness (all duplicate suppression needs) is
-    /// preserved because a node never reuses a counter value.
-    pub(crate) uid_ctr: u64,
+struct NodeSlot {
+    mac: Mac,
+    protocol: Box<dyn RoutingProtocol>,
+    proto_rng: SimRng,
+    rx: Vec<RxInProgress>,
+    recent: RecentCache,
+    /// Per-node packet-uid counter; uids are `(node << 48) | ctr`.
+    /// Uniqueness (all duplicate suppression needs) holds because a
+    /// node never reuses a counter value.
+    uid_ctr: u64,
     /// Per-node transmission-id counter, packed like `uid_ctr`. The
     /// sender of a transmission is recoverable as `tx_id >> 48`.
-    pub(crate) tx_ctr: u64,
+    tx_ctr: u64,
     /// Last control frame this node put on the air (kept only while a
     /// fault plan is installed, for stale-advert replay injection).
-    pub(crate) last_control: Option<Frame>,
+    last_control: Option<Frame>,
 }
 
 /// A manually injected application packet (tests and examples).
@@ -162,11 +159,11 @@ const POOL_SPARES: usize = 64;
 
 /// The simulator.
 pub struct World {
-    pub(crate) cfg: SimConfig,
-    pub(crate) mobility: Box<dyn MobilityModel>,
-    pub(crate) nodes: Vec<NodeSlot>,
-    pub(crate) fel: EventQueue,
-    pub(crate) now: SimTime,
+    cfg: SimConfig,
+    mobility: Box<dyn MobilityModel>,
+    nodes: Vec<NodeSlot>,
+    fel: EventQueue,
+    now: SimTime,
     metrics: Metrics,
     traffic_cfg: Option<TrafficConfig>,
     flows: Vec<FlowState>,
@@ -175,9 +172,9 @@ pub struct World {
     manual: Vec<AppPacket>,
     next_manual_flow: u32,
     trace: Option<Box<dyn TraceSink>>,
-    pub(crate) auditor: Option<InvariantAuditor>,
+    auditor: Option<InvariantAuditor>,
     /// Runtime state of the executing fault plan, if one is installed.
-    pub(crate) faults: Option<FaultState>,
+    faults: Option<FaultState>,
     /// Spatial neighbor index ([`crate::spatial`]); present when
     /// [`SimConfig::spatial_grid`] is on and the mobility model
     /// promises a finite speed bound. `RefCell` because range queries
@@ -216,23 +213,19 @@ pub struct World {
     /// never iterated, so the map cannot perturb determinism. Frames
     /// are on the air for milliseconds, so the map stays a few dozen
     /// entries wide.
-    pub(crate) rx_batches: HashMap<u64, Vec<NodeId>, U64Build>,
+    rx_batches: HashMap<u64, Vec<NodeId>, U64Build>,
     /// Spare receiver-list allocations recycled across batches.
     batch_pool: VecPool<NodeId>,
     /// Spare protocol-action buffers recycled across callbacks (the
     /// hottest allocation in the event loop: one per protocol
     /// callback). Gated on [`SimConfig::recycle_pools`].
     action_pool: VecPool<Action>,
-    /// Windows the parallel kernel ([`crate::parallel`]) fanned out
-    /// over worker threads (0 on sequential runs). Purely
-    /// observational — never branches the simulation.
-    pub(crate) parallel_windows: u64,
     /// The kernel profiler ([`crate::prof`]), attached when
     /// [`SimConfig::profile`] is on. Strictly observational: every
     /// hook first checks this `Option`, so an unprofiled run never
     /// reads a wall clock, and a profiled run mutates nothing but
     /// these counters.
-    pub(crate) prof: Option<Box<Profiler>>,
+    prof: Option<Box<Profiler>>,
     /// First routing loop the auditor found, if any.
     pub first_loop: Option<LoopViolation>,
 }
@@ -311,7 +304,6 @@ impl World {
             rx_batches: HashMap::default(),
             batch_pool: VecPool::new(POOL_SPARES),
             action_pool: VecPool::new(POOL_SPARES),
-            parallel_windows: 0,
             prof,
             first_loop: None,
         };
@@ -404,7 +396,10 @@ impl World {
         self.trace = Some(sink);
     }
 
+    /// Fans a trace event out to the flight recorder, the invariant
+    /// auditor and the trace sink (under a `trace_emit` profiler span).
     fn emit(&mut self, event: TraceEvent) {
+        self.prof_enter(PHASE_TRACE_EMIT);
         if let Some(r) = self.recorder.as_mut() {
             r.record(self.now, &event);
         }
@@ -414,6 +409,7 @@ impl World {
         if let Some(t) = self.trace.as_mut() {
             t.record(self.now, event);
         }
+        self.prof_exit();
     }
 
     /// The every-mutation auditor's first-violation forensic report, if
@@ -488,7 +484,7 @@ impl World {
     /// links are excluded exactly as [`World::propagate`] excludes
     /// them, and a crashed node sees no neighbors at all.
     pub fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
-        if self.faults.as_ref().is_some_and(|fs| fs.node_down(node)) {
+        if self.node_down(node) {
             return Vec::new();
         }
         let mut buf = Vec::new();
@@ -509,23 +505,12 @@ impl World {
         self.trace_events
     }
 
-    /// Windows the parallel kernel fanned out over worker threads so
-    /// far (always 0 with `workers ≤ 1`). Observational only — whether
-    /// a window parallelises never changes its results, and this
-    /// counter is intentionally not part of [`Metrics`].
-    pub fn parallel_windows(&self) -> u64 {
-        self.parallel_windows
-    }
-
     /// A snapshot of the kernel profiler's accumulators, when
     /// [`SimConfig::profile`] is on. The snapshot pairs the profiler's
-    /// own span counters with the kernel-truth dispatch counters
-    /// (which also cover events replayed from parallel workers).
-    /// Render with [`crate::prof::prof_to_jsonl`].
+    /// own span counters with the kernel's dispatch counters. Render
+    /// with [`crate::prof::prof_to_jsonl`].
     pub fn prof_snapshot(&self) -> Option<ProfSnapshot> {
-        self.prof
-            .as_ref()
-            .map(|p| p.snapshot(self.dispatch_counts, self.events_executed, self.parallel_windows))
+        self.prof.as_ref().map(|p| p.snapshot(self.dispatch_counts, self.events_executed))
     }
 
     /// The flight recorder's merged dump (all nodes' retained rings in
@@ -570,28 +555,17 @@ impl World {
 
     /// Processes all events with timestamp ≤ `until`, then sets the
     /// clock to `until`. Useful for staged examples.
-    ///
-    /// With [`SimConfig::workers`] ≥ 2 the deterministic parallel
-    /// kernel ([`crate::parallel`]) takes over; its output is
-    /// byte-identical to this sequential loop.
     pub fn run_until(&mut self, until: SimTime) {
-        if self.cfg.workers >= 2 {
-            crate::parallel::run_until_parallel(self, until);
-            return;
-        }
         // The run loop is the profiler's bottom stack frame: its self
         // time (startup/teardown glue) is the only unattributed
         // residue. No-ops when profiling is off.
-        Kern::prof_enter(self, PHASE_KERN_LOOP);
-        self.run_events(until, true);
-        Kern::prof_exit(self);
+        self.prof_enter(PHASE_KERN_LOOP);
+        self.run_events(until);
+        self.prof_exit();
         self.now = until;
     }
 
-    /// Executes every FEL event due within the bound, in order.
-    /// `inclusive` executes events at exactly `bound` (the sequential
-    /// `t ≤ until` loop); exclusive stops before it (the parallel
-    /// kernel's `t < w_end` windows).
+    /// Executes every FEL event due at or before `bound`, in order.
     ///
     /// When profiling is on, the loop runs as one fused span chain:
     /// the `fel_pop` span opens once, [`Profiler::switch`]es into
@@ -599,12 +573,11 @@ impl World {
     /// nothing more is due — so loop glue (peeks, bound checks) is
     /// attributed to `fel_pop` (fetching the next event) and no
     /// per-event residue leaks into the parent frame. Identical
-    /// observable behaviour to peek + pop + [`World::execute`].
-    pub(crate) fn run_events(&mut self, bound: SimTime, inclusive: bool) {
-        let due = |t: SimTime| (inclusive && t <= bound) || (!inclusive && t < bound);
+    /// observable behaviour to the unprofiled loop.
+    fn run_events(&mut self, bound: SimTime) {
         if self.prof.is_none() {
             while let Some(t) = self.fel.peek_time() {
-                if !due(t) {
+                if t > bound {
                     break;
                 }
                 let Some((t, event)) = self.fel.pop() else { break };
@@ -612,88 +585,32 @@ impl World {
             }
             return;
         }
-        if let Some(p) = self.prof.as_mut() {
-            p.enter(PHASE_FEL_POP);
-        }
-        loop {
-            match self.fel.peek_time() {
-                Some(t) if due(t) => {}
-                _ => break,
-            }
+        self.prof_enter(PHASE_FEL_POP);
+        while self.fel.peek_time().is_some_and(|t| t <= bound) {
             let depth = self.fel.len() as u64;
             if let Some(p) = self.prof.as_mut() {
                 p.record_hist(HIST_FEL_DEPTH, depth);
             }
             let Some((t, event)) = self.fel.pop() else { break };
-            debug_assert!(t >= self.now, "event from the past");
-            let kind = event.kind_index();
             if let Some(p) = self.prof.as_mut() {
-                p.switch(DISPATCH_BASE + kind as u16);
+                p.switch(DISPATCH_BASE + event.kind_index() as u16);
             }
-            self.now = t;
-            self.events_executed += 1;
-            self.dispatch_counts[kind] += 1;
-            self.dispatch(event);
+            self.execute(t, event);
             if let Some(p) = self.prof.as_mut() {
                 p.switch(PHASE_FEL_POP);
             }
         }
-        if let Some(p) = self.prof.as_mut() {
-            p.exit();
-        }
-    }
-
-    /// Pops the next FEL event, under a profiler `fel_pop` span (and an
-    /// FEL-depth histogram observation) when profiling is on. All
-    /// kernel loops pop through here.
-    pub(crate) fn pop_event(&mut self) -> Option<(SimTime, Event)> {
-        if self.prof.is_some() {
-            let depth = self.fel.len() as u64;
-            if let Some(p) = self.prof.as_mut() {
-                p.enter(PHASE_FEL_POP);
-                p.record_hist(HIST_FEL_DEPTH, depth);
-            }
-            let out = self.fel.pop();
-            if let Some(p) = self.prof.as_mut() {
-                p.exit();
-            }
-            out
-        } else {
-            self.fel.pop()
-        }
+        self.prof_exit();
     }
 
     /// Executes one event popped from the FEL: advances the clock,
-    /// counts it, and dispatches. The single entry point shared by the
-    /// sequential loop above and the parallel kernel's sequential
-    /// windows and canonical replay.
-    pub(crate) fn execute(&mut self, t: SimTime, event: Event) {
+    /// counts it, and dispatches.
+    fn execute(&mut self, t: SimTime, event: Event) {
         debug_assert!(t >= self.now, "event from the past");
-        let kind = event.kind_index();
-        if self.prof.is_some() {
-            Kern::prof_enter(self, DISPATCH_BASE + kind as u16);
-            self.now = t;
-            self.events_executed += 1;
-            self.dispatch_counts[kind] += 1;
-            self.dispatch(event);
-            Kern::prof_exit(self);
-        } else {
-            self.now = t;
-            self.events_executed += 1;
-            self.dispatch_counts[kind] += 1;
-            self.dispatch(event);
-        }
-    }
-
-    /// Replay-side bookkeeping for one event the parallel kernel
-    /// executed on a worker: advance the clock and count it exactly as
-    /// [`World::execute`] would have, without dispatching (the worker
-    /// already ran the handler; its buffered effects follow).
-    pub(crate) fn replay_begin(&mut self, t: SimTime, kind_index: usize) {
-        debug_assert!(t >= self.now, "replayed event from the past");
         self.now = t;
         self.events_executed += 1;
-        self.dispatch_counts[kind_index] += 1;
+        self.dispatch_counts[event.kind_index()] += 1;
+        self.dispatch(event);
     }
 
     /// Final bookkeeping: per-node MAC counters, mean own sequence
@@ -742,26 +659,23 @@ impl World {
             }
         }
         match event {
-            Event::MacKick(node) => mac_kick(self, node),
-            Event::TxEnd { node, tx_id } => on_tx_end(self, node, tx_id),
-            Event::RxEnd { node, tx_id } => on_rx_end(self, node, tx_id),
-            Event::RxEndBatch { tx_id } => on_rx_end_batch(self, tx_id),
-            Event::AckTimeout { node, tx_id } => on_ack_timeout(self, node, tx_id),
+            Event::MacKick(node) => self.mac_kick(node),
+            Event::TxEnd { node, tx_id } => self.on_tx_end(node, tx_id),
+            Event::RxEnd { node, tx_id } => self.on_rx_end(node, tx_id),
+            Event::RxEndBatch { tx_id } => self.on_rx_end_batch(tx_id),
+            Event::AckTimeout { node, tx_id } => self.on_ack_timeout(node, tx_id),
             Event::ProtocolTimer { node, token } => {
-                call_protocol(self, node, |p, ctx| p.handle_timer(ctx, token));
+                self.call_protocol(node, |p, ctx| p.handle_timer(ctx, token));
             }
             Event::FlowPacket { flow } => self.on_flow_packet(flow),
             Event::FlowEnd { flow } => self.on_flow_end(flow),
             Event::AppSend { idx } => self.on_app_send(idx),
             Event::Reboot { node } => {
-                let phy = self.cfg.phy.clone();
-                {
-                    let slot = &mut self.nodes[node.index()];
-                    slot.mac.queue.clear();
-                    slot.mac.state = MacState::Idle;
-                    slot.mac.reset_cw(&phy);
-                    slot.rx.clear();
-                }
+                let slot = &mut self.nodes[node.index()];
+                slot.mac.queue.clear();
+                slot.mac.state = MacState::Idle;
+                slot.mac.reset_cw(&self.cfg.phy);
+                slot.rx.clear();
                 self.call_protocol(node, |p, ctx| p.handle_reboot(ctx));
             }
             Event::Fault { idx } => self.on_fault(idx),
@@ -776,9 +690,9 @@ impl World {
                 }
             }
             Event::TelemetrySample => {
-                Kern::prof_enter(self, PHASE_TELEMETRY_SAMPLE);
+                self.prof_enter(PHASE_TELEMETRY_SAMPLE);
                 self.take_sample();
-                Kern::prof_exit(self);
+                self.prof_exit();
                 if let Some(interval) = self.cfg.telemetry.as_ref().and_then(|t| t.sample_interval)
                 {
                     let next = self.now + interval;
@@ -888,7 +802,7 @@ impl World {
                 self.emit(TraceEvent::FaultInjected { node: a, kind: FaultKind::Impair });
             }
             FaultAction::ReplayLastControl { node } => {
-                if self.faults.as_ref().is_some_and(|fs| fs.node_down(node)) {
+                if self.node_down(node) {
                     return;
                 }
                 let (mut frame, tx_id, uid) = {
@@ -913,7 +827,7 @@ impl World {
                     FramePayload::Ack { .. } => self.cfg.phy.ack_duration(),
                 };
                 self.emit(TraceEvent::FaultInjected { node, kind: FaultKind::Replay });
-                propagate(self, node, frame, tx_id, dur);
+                self.propagate(node, frame, tx_id, dur);
             }
         }
     }
@@ -923,16 +837,13 @@ impl World {
     /// any frame it was mid-transmission on (receivers see a corrupted
     /// tail).
     fn crash_node(&mut self, node: NodeId) {
-        let phy = self.cfg.phy.clone();
-        {
-            let slot = &mut self.nodes[node.index()];
-            slot.mac.queue.clear();
-            slot.mac.state = MacState::Idle;
-            slot.mac.ack_busy_until = SimTime::ZERO;
-            slot.mac.reset_cw(&phy);
-            slot.rx.clear();
-            slot.recent = RecentCache::default();
-        }
+        let slot = &mut self.nodes[node.index()];
+        slot.mac.queue.clear();
+        slot.mac.state = MacState::Idle;
+        slot.mac.ack_busy_until = SimTime::ZERO;
+        slot.mac.reset_cw(&self.cfg.phy);
+        slot.rx.clear();
+        slot.recent = RecentCache::default();
         let now = self.now;
         for m in 0..self.nodes.len() {
             if m == node.index() {
@@ -954,13 +865,10 @@ impl World {
             return;
         }
         self.metrics.node_restarts += 1;
-        let phy = self.cfg.phy.clone();
-        {
-            let slot = &mut self.nodes[node.index()];
-            slot.mac.state = MacState::Idle;
-            slot.mac.reset_cw(&phy);
-            slot.rx.clear();
-        }
+        let slot = &mut self.nodes[node.index()];
+        slot.mac.state = MacState::Idle;
+        slot.mac.reset_cw(&self.cfg.phy);
+        slot.rx.clear();
         // Emit the restart before the callback runs: the invariant
         // auditor drops the lost incarnation's fd baselines on this
         // event, so the rebuilt table is judged as a fresh start.
@@ -1034,7 +942,29 @@ impl World {
     where
         F: FnOnce(&mut dyn RoutingProtocol, &mut Ctx),
     {
-        call_protocol(self, node, f);
+        // A crashed node runs no protocol code (this also drops CBR
+        // originations at a down source).
+        if self.node_down(node) {
+            return;
+        }
+        let n = self.nodes.len();
+        let now = self.now;
+        let trace_on = self.trace.is_some() || self.auditor.is_some() || self.recorder.is_some();
+        let mut actions = self.take_actions();
+        self.prof_enter(PHASE_PROTOCOL);
+        {
+            let slot = &mut self.nodes[node.index()];
+            let mut ctx = Ctx::new(now, node, n, &mut slot.proto_rng, &mut actions);
+            ctx.set_trace_enabled(trace_on);
+            f(slot.protocol.as_mut(), &mut ctx);
+        }
+        self.prof_exit();
+        self.apply_actions(node, &mut actions);
+        self.put_actions(actions);
+        if self.cfg.audit_every_event {
+            self.audit_now();
+        }
+        self.invariant_check();
     }
 
     /// Re-checks the every-mutation invariants (fd monotonicity,
@@ -1065,195 +995,82 @@ impl World {
             }
         }
     }
-}
 
-// ----- kernel abstraction ----------------------------------------------------
-
-/// A buffered metrics mutation.
-///
-/// The sequential kernel applies these to [`Metrics`] immediately (see
-/// [`apply_metric`]); the parallel kernel ([`crate::parallel`]) buffers
-/// them per executed event and applies them in canonical replay order —
-/// necessary because latency accumulation is floating-point addition,
-/// whose result is order-sensitive bitwise.
-#[derive(Clone, Debug)]
-pub(crate) enum MetricOp {
-    /// `record_delivery(flow, seq, latency)`.
-    Delivered { flow: u32, seq: u32, latency: SimDuration },
-    /// `record_drop(reason)`.
-    Drop(DropReason),
-    /// `record_control_tx(kind)`.
-    ControlTx(ControlKind),
-    /// `record_control_init(kind)`.
-    ControlInit(ControlKind),
-    /// `data_tx_hops += 1`.
-    DataTxHop,
-    /// `collisions += 1`.
-    Collision,
-    /// `record_proto(which, amount)`.
-    Proto(crate::protocol::ProtoCounter, u64),
-}
-
-/// Applies one buffered metrics mutation.
-pub(crate) fn apply_metric(m: &mut Metrics, op: MetricOp) {
-    match op {
-        MetricOp::Delivered { flow, seq, latency } => {
-            m.record_delivery(flow, seq, latency);
-        }
-        MetricOp::Drop(reason) => m.record_drop(reason),
-        MetricOp::ControlTx(kind) => m.record_control_tx(kind),
-        MetricOp::ControlInit(kind) => m.record_control_init(kind),
-        MetricOp::DataTxHop => m.data_tx_hops += 1,
-        MetricOp::Collision => m.collisions += 1,
-        MetricOp::Proto(which, amount) => m.record_proto(which, amount),
-    }
-}
-
-/// The kernel surface the node-local event handlers run against.
-///
-/// The handlers below ([`mac_kick`], [`propagate`], [`on_rx_end`], …)
-/// are generic over this trait so the exact same code drives both
-/// execution contexts:
-///
-/// * [`World`] — the sequential kernel; every method applies its
-///   side effect immediately.
-/// * `Shard` in [`crate::parallel`] — a spatial shard on a worker
-///   thread; reads go to the shard's borrowed node slots and cached
-///   positions, while side effects (trace emission, metrics, future
-///   events) are buffered and replayed canonically at the window
-///   barrier.
-///
-/// Byte-identical parallel execution leans on this trait being the
-/// *only* way handlers touch kernel state: any read the two impls
-/// could answer differently (positions, fault fates) is either proven
-/// identical or excluded by the parallel kernel's window
-/// classification.
-pub(crate) trait Kern {
-    /// Current simulated time.
-    fn now(&self) -> SimTime;
-    /// Radio/PHY parameters.
-    fn phy(&self) -> &PhyConfig;
-    /// Fast-path mode ([`SimConfig::spatial_grid`]): elide no-op MAC
-    /// kicks and batch per-transmission receptions.
-    fn fast_path(&self) -> bool;
-    /// Number of nodes in the world.
-    fn n_nodes(&self) -> usize;
-    /// Mutable access to a node's slot. Parallel shards only own their
-    /// footprint's slots; a request outside it is a kernel bug.
-    fn slot(&mut self, node: NodeId) -> &mut NodeSlot;
-    /// Shared access to a node's slot.
-    fn slot_ref(&self, node: NodeId) -> &NodeSlot;
-    /// Whether a fault plan is installed at all.
-    fn have_faults(&self) -> bool;
-    /// Whether `node` is currently crashed.
-    fn node_down(&self, node: NodeId) -> bool;
-    /// Whether a frame from `sender` can reach `receiver` (receiver up,
-    /// link not severed).
-    fn link_usable(&self, sender: NodeId, receiver: NodeId) -> bool;
-    /// Per-frame loss/corruption fate of an impaired link. Parallel
-    /// windows never run with impairments active (classification sends
-    /// those windows down the sequential path), so the shard impl
-    /// answers `Deliver` without touching the faults RNG — exactly what
-    /// the sequential kernel does for unimpaired links.
-    fn rx_fate(&mut self, sender: NodeId, receiver: NodeId) -> RxFate;
-    /// Nodes in radio range of `of` (excluding `of`), ascending, with
-    /// exact squared distances.
-    fn in_range_into(&mut self, of: NodeId, out: &mut Vec<(NodeId, f64)>);
-    /// Takes the reusable range-query buffer.
-    fn take_scratch(&mut self) -> Vec<(NodeId, f64)>;
-    /// Returns the range-query buffer.
-    fn put_scratch(&mut self, buf: Vec<(NodeId, f64)>);
-    /// Schedules a future event.
-    fn schedule(&mut self, at: SimTime, event: Event);
-    /// Emits a trace event to the attached sinks.
-    fn emit(&mut self, event: TraceEvent);
-    /// Counts one protocol-emitted trace event.
-    fn bump_trace_events(&mut self);
-    /// Whether protocols should emit routing-decision traces.
-    fn trace_on(&self) -> bool;
-    /// Records a metrics mutation.
-    fn metric(&mut self, op: MetricOp);
-    /// Stores a fast-path receiver batch for `tx_id` (non-empty).
-    fn store_batch(&mut self, tx_id: u64, receivers: Vec<NodeId>);
-    /// Takes the receiver batch of `tx_id`, if present.
-    fn take_batch(&mut self, tx_id: u64) -> Option<Vec<NodeId>>;
-    /// Pops a spare receiver-list allocation.
-    fn pool_pop(&mut self) -> Vec<NodeId>;
-    /// Recycles a receiver-list allocation.
-    fn pool_push(&mut self, buf: Vec<NodeId>);
-    /// Takes an empty protocol-action buffer — recycled from the
-    /// action pool when [`SimConfig::recycle_pools`] is on, freshly
-    /// allocated otherwise. Exactly one buffer is in flight per
-    /// protocol callback.
-    fn take_actions(&mut self) -> Vec<Action>;
-    /// Returns a drained action buffer to the pool.
-    fn put_actions(&mut self, buf: Vec<Action>);
-    /// Post-protocol-callback hook: the sequential kernel runs the
-    /// every-event auditors here; parallel windows are classified
-    /// sequential whenever those auditors are active, so the shard
-    /// impl is a no-op.
-    fn after_protocol(&mut self);
-    /// Opens a profiler span ([`crate::prof`]). Default no-op: only
-    /// the coordinating [`World`] carries a profiler — shard-side
-    /// handler time is attributed to the `par_execute` phase at the
-    /// coordinator, so worker threads never touch a wall clock.
-    fn prof_enter(&mut self, _phase: u16) {}
-    /// Closes the innermost profiler span. Default no-op (see
-    /// [`Kern::prof_enter`]).
-    fn prof_exit(&mut self) {}
-}
-
-impl Kern for World {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn phy(&self) -> &PhyConfig {
-        &self.cfg.phy
-    }
-    fn fast_path(&self) -> bool {
-        self.cfg.spatial_grid
-    }
-    fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-    fn slot(&mut self, node: NodeId) -> &mut NodeSlot {
-        &mut self.nodes[node.index()]
-    }
-    fn slot_ref(&self, node: NodeId) -> &NodeSlot {
-        &self.nodes[node.index()]
-    }
-    fn have_faults(&self) -> bool {
-        self.faults.is_some()
-    }
-    fn node_down(&self, node: NodeId) -> bool {
-        self.faults.as_ref().is_some_and(|fs| fs.node_down(node))
-    }
-    fn link_usable(&self, sender: NodeId, receiver: NodeId) -> bool {
-        World::link_usable(self, sender, receiver)
-    }
-    fn rx_fate(&mut self, sender: NodeId, receiver: NodeId) -> RxFate {
-        match self.faults.as_mut() {
-            Some(fs) => fs.rx_draw(sender, receiver),
-            None => RxFate::Deliver,
+    fn apply_actions(&mut self, node: NodeId, actions: &mut Vec<Action>) {
+        for action in actions.drain(..) {
+            match action {
+                Action::Broadcast { ctrl, initiated } => {
+                    if initiated {
+                        self.metrics.record_control_init(ctrl.kind);
+                    }
+                    self.enqueue_frame(node, None, PacketBody::Control(ctrl), false);
+                }
+                Action::UnicastControl { next, ctrl, initiated, notify_failure } => {
+                    if initiated {
+                        self.metrics.record_control_init(ctrl.kind);
+                    }
+                    self.enqueue_frame(node, Some(next), PacketBody::Control(ctrl), notify_failure);
+                }
+                Action::SendData { next, data } => {
+                    self.emit(TraceEvent::DataSend {
+                        node,
+                        next,
+                        dst: data.dst,
+                        flow: data.flow,
+                        seq: data.seq,
+                    });
+                    self.enqueue_frame(node, Some(next), PacketBody::Data(data), true);
+                }
+                Action::Deliver { data } => {
+                    let latency = self.now.saturating_since(data.created);
+                    self.metrics.record_delivery(data.flow, data.seq, latency);
+                    self.emit(TraceEvent::Delivered { node, flow: data.flow, seq: data.seq });
+                }
+                Action::DropData { data, reason } => {
+                    self.metrics.record_drop(reason);
+                    self.emit(TraceEvent::DataDrop {
+                        node,
+                        flow: data.flow,
+                        seq: data.seq,
+                        reason,
+                    });
+                }
+                Action::DropMalformed { kind } => {
+                    self.metrics.record_drop(DropReason::Malformed);
+                    self.emit(TraceEvent::ControlDrop { node, kind });
+                }
+                Action::SetTimer { delay, token } => {
+                    self.schedule(self.now + delay, Event::ProtocolTimer { node, token });
+                }
+                Action::Count { which, amount } => self.metrics.record_proto(which, amount),
+                Action::Trace(event) => {
+                    self.trace_events += 1;
+                    self.emit(event);
+                }
+            }
         }
     }
-    fn in_range_into(&mut self, of: NodeId, out: &mut Vec<(NodeId, f64)>) {
-        if self.prof.is_some() {
-            let phase =
-                if self.grid.is_some() { PHASE_NEIGHBOR_GRID } else { PHASE_NEIGHBOR_LINEAR };
-            Kern::prof_enter(self, phase);
-            World::in_range_into(self, of, out);
-            Kern::prof_exit(self);
-        } else {
-            World::in_range_into(self, of, out);
+
+    fn enqueue_frame(
+        &mut self,
+        node: NodeId,
+        dst: Option<NodeId>,
+        body: PacketBody,
+        notify_failure: bool,
+    ) {
+        let slot = &mut self.nodes[node.index()];
+        slot.uid_ctr += 1;
+        let uid = (u64::from(node.0) << 48) | slot.uid_ctr;
+        let packet = Packet { uid, origin: node, body };
+        let frame = OutFrame { packet, dst, notify_failure, attempts: 0, counted_tx: false };
+        if slot.mac.enqueue(frame, self.cfg.phy.ifq_cap) {
+            self.kick_now(node);
         }
     }
-    fn take_scratch(&mut self) -> Vec<(NodeId, f64)> {
-        std::mem::take(&mut self.range_scratch)
-    }
-    fn put_scratch(&mut self, buf: Vec<(NodeId, f64)>) {
-        self.range_scratch = buf;
-    }
+
+    // ----- kernel services --------------------------------------------------
+
+    /// Schedules a future event (under a `fel_push` profiler span).
     fn schedule(&mut self, at: SimTime, event: Event) {
         if let Some(p) = self.prof.as_mut() {
             p.enter(PHASE_FEL_PUSH);
@@ -1263,31 +1080,32 @@ impl Kern for World {
             self.fel.schedule(at, event);
         }
     }
-    fn emit(&mut self, event: TraceEvent) {
-        if self.prof.is_some() {
-            Kern::prof_enter(self, PHASE_TRACE_EMIT);
-            World::emit(self, event);
-            Kern::prof_exit(self);
-        } else {
-            World::emit(self, event);
+
+    /// Opens a profiler span ([`crate::prof`]); a no-op when profiling
+    /// is off.
+    fn prof_enter(&mut self, phase: u16) {
+        if let Some(p) = self.prof.as_mut() {
+            p.enter(phase);
         }
     }
-    fn bump_trace_events(&mut self) {
-        self.trace_events += 1;
+
+    /// Closes the innermost profiler span; a no-op when profiling is
+    /// off.
+    fn prof_exit(&mut self) {
+        if let Some(p) = self.prof.as_mut() {
+            p.exit();
+        }
     }
-    fn trace_on(&self) -> bool {
-        self.trace.is_some() || self.auditor.is_some() || self.recorder.is_some()
+
+    /// Whether `node` is currently crashed.
+    fn node_down(&self, node: NodeId) -> bool {
+        self.faults.as_ref().is_some_and(|fs| fs.node_down(node))
     }
-    fn metric(&mut self, op: MetricOp) {
-        apply_metric(&mut self.metrics, op);
-    }
-    fn store_batch(&mut self, tx_id: u64, receivers: Vec<NodeId>) {
-        self.rx_batches.insert(tx_id, receivers);
-    }
-    fn take_batch(&mut self, tx_id: u64) -> Option<Vec<NodeId>> {
-        self.rx_batches.remove(&tx_id)
-    }
-    fn pool_pop(&mut self) -> Vec<NodeId> {
+
+    /// Takes an empty receiver-list buffer — recycled from the batch
+    /// pool when [`SimConfig::recycle_pools`] is on, freshly allocated
+    /// otherwise.
+    fn take_receivers(&mut self) -> Vec<NodeId> {
         if self.cfg.recycle_pools {
             if let Some(p) = self.prof.as_mut() {
                 p.pool_event(self.batch_pool.has_spare());
@@ -1300,11 +1118,17 @@ impl Kern for World {
             Vec::new()
         }
     }
-    fn pool_push(&mut self, buf: Vec<NodeId>) {
+
+    /// Returns a receiver-list buffer to the batch pool.
+    fn put_receivers(&mut self, buf: Vec<NodeId>) {
         if self.cfg.recycle_pools {
             self.batch_pool.put(buf);
         }
     }
+
+    /// Takes an empty protocol-action buffer — recycled from the action
+    /// pool when [`SimConfig::recycle_pools`] is on, freshly allocated
+    /// otherwise. Exactly one buffer is in flight per protocol callback.
     fn take_actions(&mut self) -> Vec<Action> {
         if self.cfg.recycle_pools {
             if let Some(p) = self.prof.as_mut() {
@@ -1318,493 +1142,352 @@ impl Kern for World {
             Vec::new()
         }
     }
+
+    /// Returns a drained action buffer to the action pool.
     fn put_actions(&mut self, buf: Vec<Action>) {
         if self.cfg.recycle_pools {
             self.action_pool.put(buf);
         }
     }
-    fn after_protocol(&mut self) {
-        if self.cfg.audit_every_event {
-            self.audit_now();
-        }
-        self.invariant_check();
-    }
-    fn prof_enter(&mut self, phase: u16) {
-        if let Some(p) = self.prof.as_mut() {
-            p.enter(phase);
-        }
-    }
-    fn prof_exit(&mut self) {
-        if let Some(p) = self.prof.as_mut() {
-            p.exit();
-        }
-    }
-}
 
-// ----- protocol callbacks and actions (generic over the kernel) -------------
+    // ----- MAC state machine ------------------------------------------------
 
-pub(crate) fn call_protocol<K, F>(k: &mut K, node: NodeId, f: F)
-where
-    K: Kern,
-    F: FnOnce(&mut dyn RoutingProtocol, &mut Ctx),
-{
-    // A crashed node runs no protocol code (this also drops CBR
-    // originations at a down source).
-    if k.node_down(node) {
-        return;
-    }
-    let n = k.n_nodes();
-    let now = k.now();
-    let trace_on = k.trace_on();
-    let mut actions = k.take_actions();
-    k.prof_enter(PHASE_PROTOCOL);
-    {
-        let slot = k.slot(node);
-        let mut ctx = Ctx::new(now, node, n, &mut slot.proto_rng, &mut actions);
-        ctx.set_trace_enabled(trace_on);
-        f(slot.protocol.as_mut(), &mut ctx);
-    }
-    k.prof_exit();
-    apply_actions(k, node, &mut actions);
-    k.put_actions(actions);
-    k.after_protocol();
-}
-
-pub(crate) fn apply_actions<K: Kern>(k: &mut K, node: NodeId, actions: &mut Vec<Action>) {
-    for action in actions.drain(..) {
-        match action {
-            Action::Broadcast { ctrl, initiated } => {
-                if initiated {
-                    k.metric(MetricOp::ControlInit(ctrl.kind));
-                }
-                enqueue_frame(k, node, None, PacketBody::Control(ctrl), false);
-            }
-            Action::UnicastControl { next, ctrl, initiated, notify_failure } => {
-                if initiated {
-                    k.metric(MetricOp::ControlInit(ctrl.kind));
-                }
-                enqueue_frame(k, node, Some(next), PacketBody::Control(ctrl), notify_failure);
-            }
-            Action::SendData { next, data } => {
-                k.emit(TraceEvent::DataSend {
-                    node,
-                    next,
-                    dst: data.dst,
-                    flow: data.flow,
-                    seq: data.seq,
-                });
-                enqueue_frame(k, node, Some(next), PacketBody::Data(data), true);
-            }
-            Action::Deliver { data } => {
-                let latency = k.now().saturating_since(data.created);
-                k.metric(MetricOp::Delivered { flow: data.flow, seq: data.seq, latency });
-                k.emit(TraceEvent::Delivered { node, flow: data.flow, seq: data.seq });
-            }
-            Action::DropData { data, reason } => {
-                k.metric(MetricOp::Drop(reason));
-                k.emit(TraceEvent::DataDrop { node, flow: data.flow, seq: data.seq, reason });
-            }
-            Action::DropMalformed { kind } => {
-                k.metric(MetricOp::Drop(DropReason::Malformed));
-                k.emit(TraceEvent::ControlDrop { node, kind });
-            }
-            Action::SetTimer { delay, token } => {
-                k.schedule(k.now() + delay, Event::ProtocolTimer { node, token });
-            }
-            Action::Count { which, amount } => {
-                k.metric(MetricOp::Proto(which, amount));
-            }
-            Action::Trace(event) => {
-                k.bump_trace_events();
-                k.emit(event);
-            }
-        }
-    }
-}
-
-pub(crate) fn enqueue_frame<K: Kern>(
-    k: &mut K,
-    node: NodeId,
-    dst: Option<NodeId>,
-    body: PacketBody,
-    notify_failure: bool,
-) {
-    let cap = k.phy().ifq_cap;
-    let slot = k.slot(node);
-    slot.uid_ctr += 1;
-    let uid = (u64::from(node.0) << 48) | slot.uid_ctr;
-    let packet = Packet { uid, origin: node, body };
-    let frame = OutFrame { packet, dst, notify_failure, attempts: 0, counted_tx: false };
-    if slot.mac.enqueue(frame, cap) {
-        kick_now(k, node);
-    }
-}
-
-// ----- MAC state machine (generic over the kernel) ---------------------------
-
-/// Schedules an immediate MAC wake-up for `node`.
-///
-/// In fast-path mode ([`SimConfig::spatial_grid`]) wake-ups that
-/// are provably no-ops *at scheduling time* are elided instead —
-/// they make up the majority of all events at paper scale. A
-/// wake-up at `now` is a no-op when the MAC is
-///
-/// * `Idle` with an empty queue (the handler returns immediately;
-///   any later enqueue schedules its own kick),
-/// * in `Backoff` with `until > now` (early kicks return without
-///   drawing randomness, and entering `Backoff` always scheduled a
-///   kick at `until`),
-/// * `Transmitting` or awaiting an ACK (dead match arms; every
-///   transition out of these states — `TxEnd`, `AckTimeout`, ACK
-///   reception — issues its own kick afterwards).
-///
-/// Elided events execute no code, mutate no state and draw no RNG,
-/// and the relative FIFO order of the remaining same-timestamp
-/// events is unchanged, so elision is observation-equivalent: runs
-/// with and without it are byte-identical in metrics and trace.
-pub(crate) fn kick_now<K: Kern>(k: &mut K, node: NodeId) {
-    if k.fast_path() {
-        let now = k.now();
-        let mac = &k.slot_ref(node).mac;
-        let noop = match mac.state {
-            MacState::Idle => mac.queue.is_empty(),
-            MacState::Backoff { until } => until > now,
-            MacState::Transmitting { .. } | MacState::AwaitAck { .. } => true,
-        };
-        if noop {
-            return;
-        }
-    }
-    k.schedule(k.now(), Event::MacKick(node));
-}
-
-/// A node's medium is busy while any reception is in progress or its
-/// own radio is occupied.
-fn medium_busy_until<K: Kern>(k: &K, node: NodeId) -> Option<SimTime> {
-    let now = k.now();
-    let slot = k.slot_ref(node);
-    let mut until: Option<SimTime> = None;
-    for rx in &slot.rx {
-        if rx.end > now {
-            until = Some(until.map_or(rx.end, |u: SimTime| u.max(rx.end)));
-        }
-    }
-    if slot.mac.ack_busy_until > now {
-        let t = slot.mac.ack_busy_until;
-        until = Some(until.map_or(t, |u| u.max(t)));
-    }
-    until
-}
-
-pub(crate) fn mac_kick<K: Kern>(k: &mut K, node: NodeId) {
-    let now = k.now();
-    match k.slot_ref(node).mac.state {
-        MacState::Idle => {
-            if k.slot_ref(node).mac.queue.is_empty() {
+    /// Schedules an immediate MAC wake-up for `node`.
+    ///
+    /// In fast-path mode ([`SimConfig::spatial_grid`]) wake-ups that
+    /// are provably no-ops *at scheduling time* are elided instead —
+    /// they make up the majority of all events at paper scale. A
+    /// wake-up at `now` is a no-op when the MAC is
+    ///
+    /// * `Idle` with an empty queue (the handler returns immediately;
+    ///   any later enqueue schedules its own kick),
+    /// * in `Backoff` with `until > now` (early kicks return without
+    ///   drawing randomness, and entering `Backoff` always scheduled a
+    ///   kick at `until`),
+    /// * `Transmitting` or awaiting an ACK (dead match arms; every
+    ///   transition out of these states — `TxEnd`, `AckTimeout`, ACK
+    ///   reception — issues its own kick afterwards).
+    ///
+    /// Elided events execute no code, mutate no state and draw no RNG,
+    /// and the relative FIFO order of the remaining same-timestamp
+    /// events is unchanged, so elision is observation-equivalent: runs
+    /// with and without it are byte-identical in metrics and trace.
+    fn kick_now(&mut self, node: NodeId) {
+        if self.cfg.spatial_grid {
+            let mac = &self.nodes[node.index()].mac;
+            let noop = match mac.state {
+                MacState::Idle => mac.queue.is_empty(),
+                MacState::Backoff { until } => until > self.now,
+                MacState::Transmitting { .. } | MacState::AwaitAck { .. } => true,
+            };
+            if noop {
                 return;
             }
-            // Begin contention for the head frame.
-            let phy = k.phy().clone();
-            let slot = k.slot(node);
-            let backoff = slot.mac.draw_backoff(&phy);
-            let until = now + backoff;
-            slot.mac.state = MacState::Backoff { until };
-            k.schedule(until, Event::MacKick(node));
         }
-        MacState::Backoff { until } => {
-            if until > now {
-                return; // early kick; the scheduled one will land at `until`
+        self.schedule(self.now, Event::MacKick(node));
+    }
+
+    /// A node's medium is busy while any reception is in progress or its
+    /// own radio is occupied.
+    fn medium_busy_until(&self, node: NodeId) -> Option<SimTime> {
+        let now = self.now;
+        let slot = &self.nodes[node.index()];
+        let mut until: Option<SimTime> = None;
+        for rx in &slot.rx {
+            if rx.end > now {
+                until = Some(until.map_or(rx.end, |u: SimTime| u.max(rx.end)));
             }
-            if k.slot_ref(node).mac.queue.is_empty() {
-                k.slot(node).mac.state = MacState::Idle;
-                return;
-            }
-            if let Some(busy_until) = medium_busy_until(k, node) {
-                // Non-persistent CSMA: re-draw after the medium frees.
-                let phy = k.phy().clone();
-                let slot = k.slot(node);
-                let backoff = slot.mac.draw_backoff(&phy);
-                let until = busy_until + backoff;
+        }
+        if slot.mac.ack_busy_until > now {
+            let t = slot.mac.ack_busy_until;
+            until = Some(until.map_or(t, |u| u.max(t)));
+        }
+        until
+    }
+
+    fn mac_kick(&mut self, node: NodeId) {
+        let now = self.now;
+        match self.nodes[node.index()].mac.state {
+            MacState::Idle => {
+                let slot = &mut self.nodes[node.index()];
+                if slot.mac.queue.is_empty() {
+                    return;
+                }
+                // Begin contention for the head frame.
+                let until = now + slot.mac.draw_backoff(&self.cfg.phy);
                 slot.mac.state = MacState::Backoff { until };
-                k.schedule(until, Event::MacKick(node));
-                return;
+                self.schedule(until, Event::MacKick(node));
             }
-            start_transmission(k, node);
+            MacState::Backoff { until } => {
+                if until > now {
+                    return; // early kick; the scheduled one will land at `until`
+                }
+                if self.nodes[node.index()].mac.queue.is_empty() {
+                    self.nodes[node.index()].mac.state = MacState::Idle;
+                    return;
+                }
+                if let Some(busy_until) = self.medium_busy_until(node) {
+                    // Non-persistent CSMA: re-draw after the medium frees.
+                    let slot = &mut self.nodes[node.index()];
+                    let until = busy_until + slot.mac.draw_backoff(&self.cfg.phy);
+                    slot.mac.state = MacState::Backoff { until };
+                    self.schedule(until, Event::MacKick(node));
+                    return;
+                }
+                self.start_transmission(node);
+            }
+            MacState::Transmitting { .. } | MacState::AwaitAck { .. } => {}
         }
-        MacState::Transmitting { .. } | MacState::AwaitAck { .. } => {}
     }
-}
 
-pub(crate) fn start_transmission<K: Kern>(k: &mut K, node: NodeId) {
-    let now = k.now();
-    let phy = k.phy().clone();
-    let have_faults = k.have_faults();
-
-    let (frame, dur, tx_id, metric_op) = {
-        let slot = k.slot(node);
+    fn start_transmission(&mut self, node: NodeId) {
+        let now = self.now;
+        let slot = &mut self.nodes[node.index()];
         slot.tx_ctr += 1;
         let tx_id = (u64::from(node.0) << 48) | slot.tx_ctr;
         let Some(head) = slot.mac.queue.front_mut() else { return };
-        let dur = phy.tx_duration(head.packet.wire_size());
-        let count_now = !head.counted_tx;
-        head.counted_tx = true;
+        let dur = self.cfg.phy.tx_duration(head.packet.wire_size());
+        if !head.counted_tx {
+            head.counted_tx = true;
+            match &head.packet.body {
+                PacketBody::Data(_) => self.metrics.data_tx_hops += 1,
+                PacketBody::Control(c) => self.metrics.record_control_tx(c.kind),
+            }
+        }
         let frame =
             Frame { src: node, dst: head.dst, payload: FramePayload::Packet(head.packet.clone()) };
-        let metric_op = count_now.then_some(match &head.packet.body {
-            PacketBody::Data(_) => MetricOp::DataTxHop,
-            PacketBody::Control(c) => MetricOp::ControlTx(c.kind),
-        });
-        (frame, dur, tx_id, metric_op)
-    };
-    if let Some(op) = metric_op {
-        k.metric(op);
-    }
-    let slot = k.slot(node);
-    slot.mac.state = MacState::Transmitting { tx_id, until: now + dur };
-    if have_faults {
-        if let FramePayload::Packet(p) = &frame.payload {
-            if matches!(p.body, PacketBody::Control(_)) {
-                slot.last_control = Some(frame.clone());
-            }
-        }
-    }
-    k.schedule(now + dur, Event::TxEnd { node, tx_id });
-    let (uid, dst) = match &frame.payload {
-        FramePayload::Packet(p) => (Some(p.uid), frame.dst),
-        FramePayload::Ack { .. } => (None, frame.dst),
-    };
-    k.emit(TraceEvent::TxStart { node, uid, dst });
-    propagate(k, node, frame, tx_id, dur);
-}
-
-/// Emits a frame onto the medium: marks collisions and schedules
-/// receptions at every node in range (per [`World::in_range_into`],
-/// grid-indexed or linearly scanned — identical either way).
-///
-/// All of a transmission's receptions end at the same instant
-/// `now + prop + dur` and their per-receiver `RxEnd` events are
-/// scheduled back to back (consecutive sequence numbers), so no
-/// other event can pop between them. In fast-path mode
-/// ([`SimConfig::spatial_grid`]) they are therefore replaced by a
-/// single [`Event::RxEndBatch`] that walks the same receivers in
-/// the same ascending order — observation-equivalent, and it
-/// removes the event queue's largest event class.
-pub(crate) fn propagate<K: Kern>(
-    k: &mut K,
-    sender: NodeId,
-    frame: Frame,
-    tx_id: u64,
-    dur: SimDuration,
-) {
-    let now = k.now();
-    let prop = k.phy().prop_delay;
-    let capture = k.phy().capture_distance_ratio;
-
-    // A station transmitting cannot hear; corrupt its receptions.
-    for rx in &mut k.slot(sender).rx {
-        if rx.end > now {
-            rx.corrupted = true;
-        }
-    }
-
-    let mut in_range = k.take_scratch();
-    k.in_range_into(sender, &mut in_range);
-    let frame = Arc::new(frame);
-    let end = now + prop + dur;
-    let batching = k.fast_path();
-    let mut receivers = if batching { k.pool_pop() } else { Vec::new() };
-    for &(m, dist_sq) in &in_range {
-        // Fault layer: crashed receivers and administratively
-        // severed links hear nothing; impaired links draw per-frame
-        // loss/corruption from the dedicated "faults" RNG stream.
-        if !k.link_usable(sender, m) {
-            continue;
-        }
-        let fate = k.rx_fate(sender, m);
-        if fate == RxFate::Lose {
-            continue;
-        }
-        let sender_dist = dist_sq.sqrt();
-        let receiver = k.slot(m);
-        // A station that is itself transmitting cannot receive.
-        let mut corrupted = fate == RxFate::Corrupt || !receiver.mac.radio_free(now);
-        // Overlapping receptions corrupt each other — unless the
-        // earlier frame's transmitter is so much closer that the
-        // receiver captures it (first-frame capture only).
-        for rx in &mut receiver.rx {
-            if rx.end > now {
-                let captured = matches!(
-                    capture,
-                    Some(ratio) if rx.sender_dist * ratio <= sender_dist
-                );
-                if !captured {
-                    rx.corrupted = true;
+        slot.mac.state = MacState::Transmitting { tx_id, until: now + dur };
+        if self.faults.is_some() {
+            if let FramePayload::Packet(p) = &frame.payload {
+                if matches!(p.body, PacketBody::Control(_)) {
+                    slot.last_control = Some(frame.clone());
                 }
-                corrupted = true;
             }
         }
-        receiver.rx.push(RxInProgress {
-            tx_id,
-            frame: Arc::clone(&frame),
-            end,
-            corrupted,
-            sender_dist,
-        });
+        self.schedule(now + dur, Event::TxEnd { node, tx_id });
+        let uid = match &frame.payload {
+            FramePayload::Packet(p) => Some(p.uid),
+            FramePayload::Ack { .. } => None,
+        };
+        self.emit(TraceEvent::TxStart { node, uid, dst: frame.dst });
+        self.propagate(node, frame, tx_id, dur);
+    }
+
+    /// Emits a frame onto the medium: marks collisions and schedules
+    /// receptions at every node in range (per [`World::in_range_into`],
+    /// grid-indexed or linearly scanned — identical either way).
+    ///
+    /// All of a transmission's receptions end at the same instant
+    /// `now + prop + dur` and their per-receiver `RxEnd` events are
+    /// scheduled back to back (consecutive sequence numbers), so no
+    /// other event can pop between them. In fast-path mode
+    /// ([`SimConfig::spatial_grid`]) they are therefore replaced by a
+    /// single [`Event::RxEndBatch`] that walks the same receivers in
+    /// the same ascending order — observation-equivalent, and it
+    /// removes the event queue's largest event class.
+    fn propagate(&mut self, sender: NodeId, frame: Frame, tx_id: u64, dur: SimDuration) {
+        let now = self.now;
+        let capture = self.cfg.phy.capture_distance_ratio;
+
+        // A station transmitting cannot hear; corrupt its receptions.
+        for rx in &mut self.nodes[sender.index()].rx {
+            if rx.end > now {
+                rx.corrupted = true;
+            }
+        }
+
+        let mut in_range = std::mem::take(&mut self.range_scratch);
+        let phase = if self.grid.is_some() { PHASE_NEIGHBOR_GRID } else { PHASE_NEIGHBOR_LINEAR };
+        self.prof_enter(phase);
+        self.in_range_into(sender, &mut in_range);
+        self.prof_exit();
+        let frame = Arc::new(frame);
+        let end = now + self.cfg.phy.prop_delay + dur;
+        let batching = self.cfg.spatial_grid;
+        let mut receivers = if batching { self.take_receivers() } else { Vec::new() };
+        for &(m, dist_sq) in &in_range {
+            // Fault layer: crashed receivers and administratively
+            // severed links hear nothing; impaired links draw per-frame
+            // loss/corruption from the dedicated "faults" RNG stream.
+            if !self.link_usable(sender, m) {
+                continue;
+            }
+            let fate = match self.faults.as_mut() {
+                Some(fs) => fs.rx_draw(sender, m),
+                None => RxFate::Deliver,
+            };
+            if fate == RxFate::Lose {
+                continue;
+            }
+            let sender_dist = dist_sq.sqrt();
+            let receiver = &mut self.nodes[m.index()];
+            // A station that is itself transmitting cannot receive.
+            let mut corrupted = fate == RxFate::Corrupt || !receiver.mac.radio_free(now);
+            // Overlapping receptions corrupt each other — unless the
+            // earlier frame's transmitter is so much closer that the
+            // receiver captures it (first-frame capture only).
+            for rx in &mut receiver.rx {
+                if rx.end > now {
+                    let captured = matches!(
+                        capture,
+                        Some(ratio) if rx.sender_dist * ratio <= sender_dist
+                    );
+                    if !captured {
+                        rx.corrupted = true;
+                    }
+                    corrupted = true;
+                }
+            }
+            receiver.rx.push(RxInProgress {
+                tx_id,
+                frame: Arc::clone(&frame),
+                end,
+                corrupted,
+                sender_dist,
+            });
+            if batching {
+                receivers.push(m);
+            } else {
+                self.schedule(end, Event::RxEnd { node: m, tx_id });
+            }
+        }
+        self.range_scratch = in_range;
         if batching {
-            receivers.push(m);
+            if receivers.is_empty() {
+                self.put_receivers(receivers);
+            } else {
+                self.rx_batches.insert(tx_id, receivers);
+                self.schedule(end, Event::RxEndBatch { tx_id });
+            }
+        }
+    }
+
+    /// Fast-path form of `RxEnd`: finish every reception of `tx_id`, in
+    /// the same ascending receiver order the per-receiver events would
+    /// have popped. The per-receiver crash gate of [`World::dispatch`]
+    /// is applied per receiver here, and nothing that runs during the
+    /// batch can crash a node or cancel a sibling reception mid-batch
+    /// (faults only fire from their own scheduled events), so the two
+    /// forms are observation-equivalent.
+    fn on_rx_end_batch(&mut self, tx_id: u64) {
+        let Some(mut receivers) = self.rx_batches.remove(&tx_id) else { return };
+        for &m in &receivers {
+            // The per-receiver crash gate of `World::dispatch`.
+            if self.node_down(m) {
+                continue;
+            }
+            self.on_rx_end(m, tx_id);
+        }
+        receivers.clear();
+        self.put_receivers(receivers);
+    }
+
+    fn on_tx_end(&mut self, node: NodeId, tx_id: u64) {
+        let now = self.now;
+        let phy = &self.cfg.phy;
+        let slot = &mut self.nodes[node.index()];
+        match slot.mac.state {
+            MacState::Transmitting { tx_id: t, .. } if t == tx_id => {}
+            _ => return, // stale
+        }
+        let Some(head) = slot.mac.queue.front() else { return };
+        if head.dst.is_none() {
+            // Broadcast: one shot, done.
+            slot.mac.queue.pop_front();
+            slot.mac.reset_cw(phy);
+            slot.mac.state = MacState::Idle;
+            self.kick_now(node);
         } else {
-            k.schedule(end, Event::RxEnd { node: m, tx_id });
+            let until = now + phy.ack_timeout();
+            slot.mac.state = MacState::AwaitAck { tx_id, until };
+            self.schedule(until, Event::AckTimeout { node, tx_id });
         }
     }
-    k.put_scratch(in_range);
-    if batching {
-        if receivers.is_empty() {
-            k.pool_push(receivers);
-        } else {
-            k.store_batch(tx_id, receivers);
-            k.schedule(end, Event::RxEndBatch { tx_id });
-        }
-    }
-}
 
-/// Fast-path form of `RxEnd`: finish every reception of `tx_id`, in
-/// the same ascending receiver order the per-receiver events would
-/// have popped. The per-receiver crash gate of [`World::dispatch`]
-/// is applied per receiver here, and nothing that runs during the
-/// batch can crash a node or cancel a sibling reception mid-batch
-/// (faults only fire from their own scheduled events), so the two
-/// forms are observation-equivalent.
-pub(crate) fn on_rx_end_batch<K: Kern>(k: &mut K, tx_id: u64) {
-    let Some(mut receivers) = k.take_batch(tx_id) else { return };
-    for &m in &receivers {
-        // The per-receiver crash gate of `World::dispatch`.
-        if k.node_down(m) {
-            continue;
-        }
-        on_rx_end(k, m, tx_id);
-    }
-    receivers.clear();
-    k.pool_push(receivers);
-}
-
-pub(crate) fn on_tx_end<K: Kern>(k: &mut K, node: NodeId, tx_id: u64) {
-    let phy = k.phy().clone();
-    let now = k.now();
-    let slot = k.slot(node);
-    match slot.mac.state {
-        MacState::Transmitting { tx_id: t, .. } if t == tx_id => {}
-        _ => return, // stale
-    }
-    let Some(head) = slot.mac.queue.front() else { return };
-    if head.dst.is_none() {
-        // Broadcast: one shot, done.
-        slot.mac.queue.pop_front();
-        slot.mac.reset_cw(&phy);
-        slot.mac.state = MacState::Idle;
-        kick_now(k, node);
-    } else {
-        let until = now + phy.ack_timeout();
-        slot.mac.state = MacState::AwaitAck { tx_id, until };
-        k.schedule(until, Event::AckTimeout { node, tx_id });
-    }
-}
-
-pub(crate) fn on_ack_timeout<K: Kern>(k: &mut K, node: NodeId, tx_id: u64) {
-    let phy = k.phy().clone();
-    let verdict = {
-        let slot = k.slot(node);
+    fn on_ack_timeout(&mut self, node: NodeId, tx_id: u64) {
+        let phy = &self.cfg.phy;
+        let slot = &mut self.nodes[node.index()];
         match slot.mac.state {
             MacState::AwaitAck { tx_id: t, .. } if t == tx_id => {}
             _ => return, // acked already, or stale
         }
-        slot.mac.note_attempt_failed(&phy)
-    };
-    match verdict {
-        RetryVerdict::Retry => {
-            let slot = k.slot(node);
-            slot.mac.grow_cw(&phy);
-            slot.mac.state = MacState::Idle;
-            kick_now(k, node);
-        }
-        RetryVerdict::GiveUp => {
-            let (packet, dst, notify) = {
-                let slot = k.slot(node);
-                slot.mac.reset_cw(&phy);
+        match slot.mac.note_attempt_failed(phy) {
+            RetryVerdict::Retry => {
+                slot.mac.grow_cw(phy);
+                slot.mac.state = MacState::Idle;
+                self.kick_now(node);
+            }
+            RetryVerdict::GiveUp => {
+                slot.mac.reset_cw(phy);
                 slot.mac.state = MacState::Idle;
                 let Some(frame) = slot.mac.queue.pop_front() else {
-                    kick_now(k, node);
+                    self.kick_now(node);
                     return;
                 };
-                (frame.packet, frame.dst, frame.notify_failure)
-            };
-            kick_now(k, node);
-            // AwaitAck only ever arises for unicast frames, so `dst`
-            // is present; a broadcast head here would be a kernel bug
-            // and is simply not reported rather than panicking.
-            let Some(next_hop) = dst else { return };
-            k.emit(TraceEvent::MacGiveUp { node, dst: next_hop, uid: packet.uid });
-            if notify {
-                call_protocol(k, node, |p, ctx| p.handle_unicast_failure(ctx, next_hop, packet));
-            }
-        }
-    }
-}
-
-pub(crate) fn on_rx_end<K: Kern>(k: &mut K, node: NodeId, tx_id: u64) {
-    let phy = k.phy().clone();
-    let rx = {
-        let slot = k.slot(node);
-        let Some(pos) = slot.rx.iter().position(|r| r.tx_id == tx_id) else {
-            return;
-        };
-        slot.rx.swap_remove(pos)
-    };
-    if rx.corrupted {
-        k.metric(MetricOp::Collision);
-        k.emit(TraceEvent::RxCollision { node });
-        kick_now(k, node);
-        return;
-    }
-    let frame = rx.frame;
-    let src = frame.src;
-    let for_me = frame.dst == Some(node);
-    let broadcast = frame.dst.is_none();
-    if let FramePayload::Ack { acked_tx } = frame.payload {
-        if for_me {
-            let slot = k.slot(node);
-            if let MacState::AwaitAck { tx_id: t, .. } = slot.mac.state {
-                if t == acked_tx {
-                    slot.mac.queue.pop_front();
-                    slot.mac.reset_cw(&phy);
-                    slot.mac.state = MacState::Idle;
+                self.kick_now(node);
+                // AwaitAck only ever arises for unicast frames, so `dst`
+                // is present; a broadcast head here would be a kernel bug
+                // and is simply not reported rather than panicking.
+                let Some(next_hop) = frame.dst else { return };
+                let packet = frame.packet;
+                self.emit(TraceEvent::MacGiveUp { node, dst: next_hop, uid: packet.uid });
+                if frame.notify_failure {
+                    self.call_protocol(node, |p, ctx| {
+                        p.handle_unicast_failure(ctx, next_hop, packet)
+                    });
                 }
             }
         }
-        kick_now(k, node);
-        return;
     }
-    let FramePayload::Packet(ref packet) = frame.payload else {
-        return; // cannot occur: the ACK arm returned above
-    };
-    let uid = packet.uid;
-    if for_me || broadcast {
-        k.emit(TraceEvent::RxOk { node, uid: Some(uid) });
-    }
-    if for_me {
-        send_ack(k, node, src, tx_id);
-    }
-    if for_me || broadcast {
-        let fresh = k.slot(node).recent.insert(uid);
-        if fresh {
+
+    fn on_rx_end(&mut self, node: NodeId, tx_id: u64) {
+        let rx = {
+            let slot = &mut self.nodes[node.index()];
+            let Some(pos) = slot.rx.iter().position(|r| r.tx_id == tx_id) else {
+                return;
+            };
+            slot.rx.swap_remove(pos)
+        };
+        if rx.corrupted {
+            self.metrics.collisions += 1;
+            self.emit(TraceEvent::RxCollision { node });
+            self.kick_now(node);
+            return;
+        }
+        let frame = rx.frame;
+        let src = frame.src;
+        let for_me = frame.dst == Some(node);
+        let broadcast = frame.dst.is_none();
+        if let FramePayload::Ack { acked_tx } = frame.payload {
+            if for_me {
+                let slot = &mut self.nodes[node.index()];
+                if let MacState::AwaitAck { tx_id: t, .. } = slot.mac.state {
+                    if t == acked_tx {
+                        slot.mac.queue.pop_front();
+                        slot.mac.reset_cw(&self.cfg.phy);
+                        slot.mac.state = MacState::Idle;
+                    }
+                }
+            }
+            self.kick_now(node);
+            return;
+        }
+        let FramePayload::Packet(ref packet) = frame.payload else {
+            return; // cannot occur: the ACK arm returned above
+        };
+        let uid = packet.uid;
+        if for_me || broadcast {
+            self.emit(TraceEvent::RxOk { node, uid: Some(uid) });
+        }
+        if for_me {
+            self.send_ack(node, src, tx_id);
+        }
+        if (for_me || broadcast) && self.nodes[node.index()].recent.insert(uid) {
             let prev_hop = src;
             // The last receiver to process this transmission holds the
             // only remaining `Arc` and can take the packet by value;
             // earlier receivers deep-clone (route vectors make that
-            // clone expensive). Under the parallel kernel receivers of
-            // one transmission may finish on different worker threads;
-            // only *whether* the unwrap succeeds can vary with thread
-            // timing, and both arms produce the identical packet, so
-            // observable behavior stays deterministic.
+            // clone expensive).
             let pkt = match Arc::try_unwrap(frame) {
                 Ok(owned) => match owned.payload {
                     FramePayload::Packet(p) => p,
@@ -1817,39 +1500,38 @@ pub(crate) fn on_rx_end<K: Kern>(k: &mut K, node: NodeId, tx_id: u64) {
             };
             match pkt.body {
                 PacketBody::Data(data) => {
-                    call_protocol(k, node, |p, ctx| p.handle_data_packet(ctx, prev_hop, data));
+                    self.call_protocol(node, |p, ctx| p.handle_data_packet(ctx, prev_hop, data));
                 }
                 PacketBody::Control(ctrl) => {
-                    call_protocol(k, node, |p, ctx| {
+                    self.call_protocol(node, |p, ctx| {
                         p.handle_control(ctx, prev_hop, ctrl, broadcast)
                     });
                 }
             }
         }
+        // Overheard unicast for someone else: ignored (no promiscuous
+        // mode).
+        self.kick_now(node);
     }
-    // Overheard unicast for someone else: ignored (no promiscuous
-    // mode).
-    kick_now(k, node);
-}
 
-/// Transmits a link-layer ACK SIFS after a successful reception.
-/// ACKs ignore carrier sense (as in 802.11) but are skipped if this
-/// radio is already busy sending.
-pub(crate) fn send_ack<K: Kern>(k: &mut K, node: NodeId, to: NodeId, acked_tx: u64) {
-    let phy = k.phy().clone();
-    let now = k.now();
-    if !k.slot_ref(node).mac.radio_free(now) {
-        return;
+    /// Transmits a link-layer ACK SIFS after a successful reception.
+    /// ACKs ignore carrier sense (as in 802.11) but are skipped if this
+    /// radio is already busy sending.
+    fn send_ack(&mut self, node: NodeId, to: NodeId, acked_tx: u64) {
+        let now = self.now;
+        let slot = &mut self.nodes[node.index()];
+        if !slot.mac.radio_free(now) {
+            return;
+        }
+        let dur = self.cfg.phy.sifs + self.cfg.phy.ack_duration();
+        slot.mac.ack_busy_until = now + dur;
+        slot.tx_ctr += 1;
+        let tx_id = (u64::from(node.0) << 48) | slot.tx_ctr;
+        let frame = Frame { src: node, dst: Some(to), payload: FramePayload::Ack { acked_tx } };
+        self.propagate(node, frame, tx_id, dur);
+        // Free the radio (and retry pending frames) when the ACK ends.
+        self.schedule(now + dur, Event::MacKick(node));
     }
-    let dur = phy.sifs + phy.ack_duration();
-    let slot = k.slot(node);
-    slot.mac.ack_busy_until = now + dur;
-    slot.tx_ctr += 1;
-    let tx_id = (u64::from(node.0) << 48) | slot.tx_ctr;
-    let frame = Frame { src: node, dst: Some(to), payload: FramePayload::Ack { acked_tx } };
-    propagate(k, node, frame, tx_id, dur);
-    // Free the radio (and retry pending frames) when the ACK ends.
-    k.schedule(now + dur, Event::MacKick(node));
 }
 
 #[cfg(test)]

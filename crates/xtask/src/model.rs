@@ -276,33 +276,6 @@ pub fn parse_allows(
     (allows, diags)
 }
 
-/// Finds the byte span of the balanced `(…)` group whose opening paren
-/// is the next significant token at or after `i`; returns `(open_idx,
-/// span)` with the span covering the parens' interior.
-pub fn paren_group(src: &str, toks: &[Token], i: usize) -> Option<(usize, (usize, usize))> {
-    let open = next_sig(toks, i)?;
-    if !is_punct(toks, src, open, '(') {
-        return None;
-    }
-    let mut depth = 0usize;
-    for j in open..toks.len() {
-        if !significant(toks, j) {
-            continue;
-        }
-        match toks[j].text(src) {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open, (toks[open].end, toks[j].start)));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Finds the byte span of the balanced `{…}` block whose opening brace
 /// is the next `{` at or after token `i` (interior included, braces
 /// excluded). Returns `None` if a `;` appears first at depth 0.

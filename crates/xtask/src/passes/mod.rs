@@ -7,7 +7,6 @@ use crate::lexer::Token;
 use crate::model::LineMap;
 
 mod determinism;
-mod effect_discipline;
 mod fault_determinism;
 mod no_panic;
 mod ordered_iteration;
@@ -56,7 +55,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(route_fields::RouteFields),
         Box::new(fault_determinism::FaultDeterminism),
         Box::new(ordered_iteration::OrderedIteration),
-        Box::new(effect_discipline::EffectDiscipline),
         Box::new(panic_surface::PanicSurface),
     ]
 }

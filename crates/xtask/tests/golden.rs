@@ -152,6 +152,5 @@ fn fault_determinism_scope_covers_the_pools_and_sweep() {
         .expect("fault-determinism pass registered");
     assert!(pass.applies("crates/sim/src/pool.rs"));
     assert!(pass.applies("crates/bench/src/sweep.rs"));
-    assert!(pass.applies("crates/sim/src/parallel.rs"));
     assert!(!pass.applies("crates/bench/src/report.rs"));
 }
