@@ -11,7 +11,6 @@
 
 pub mod experiments;
 pub mod forensics;
-pub mod perf;
 pub mod profiling;
 pub mod report;
 pub mod runner;

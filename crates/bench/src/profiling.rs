@@ -8,11 +8,10 @@
 //! prof-smoke job asserts.
 
 use crate::forensics::Json;
-use crate::runner::build_world_telemetry;
+use crate::runner::build_world;
 use crate::scenario::{Protocol, Scenario};
 use crate::telemetry_export::render_run;
 use manet_sim::prof::{deterministic_section, prof_to_jsonl, PROF_SCHEMA, PROF_VERSION};
-use manet_sim::telemetry::TelemetryConfig;
 use manet_sim::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
 
@@ -143,13 +142,14 @@ pub struct ProfRun {
     pub events: u64,
 }
 
-/// Runs one trial with the profiler (and default telemetry) attached
-/// and returns its profile. Deterministic in `(protocol, scenario,
-/// seed)` up to the non-gated wall-time section.
+/// Runs one trial with the profiler attached and returns its profile.
+/// The world is built exactly as a bare sweep run builds it (no trace
+/// sink, no telemetry), so the profile describes the configuration
+/// that is timed. Deterministic in `(protocol, scenario, seed)` up to
+/// the non-gated wall-time section.
 pub fn run_profiled(protocol: Protocol, scenario: &Scenario, seed: u64) -> ProfRun {
     let profiled = Scenario { profile: true, ..scenario.clone() };
-    let mut world =
-        build_world_telemetry(protocol, &profiled, seed, None, Some(TelemetryConfig::default()));
+    let mut world = build_world(protocol, &profiled, seed, None);
     world.run_until(SimTime::ZERO + SimDuration::from_secs(profiled.duration_secs));
     world.finalize();
     let events = world.events_executed();

@@ -35,9 +35,9 @@ pub fn run_once_faulted(
 }
 
 /// Builds the fully-configured (but not yet run) world for one trial —
-/// shared by [`run_once_faulted`] and the perfbench timing loop (which
-/// needs the world alive after the run to read
-/// [`World::events_executed`]).
+/// shared by [`run_once_faulted`], the profiler and callers that need
+/// the world alive after the run (to read [`World::events_executed`],
+/// say).
 pub fn build_world(
     protocol: Protocol,
     scenario: &Scenario,
@@ -64,7 +64,6 @@ pub fn build_world_telemetry(
         duration: SimDuration::from_secs(scenario.duration_secs),
         seed,
         audit_interval: scenario.audit.then(|| SimDuration::from_secs(1)),
-        audit_every_event: false,
         invariant_audit: false,
         fault_plan: plan,
         spatial_grid: scenario.spatial_grid,

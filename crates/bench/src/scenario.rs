@@ -142,8 +142,8 @@ pub struct Scenario {
     pub audit: bool,
     /// Serve range queries from the spatial neighbor grid
     /// ([`manet_sim::spatial`]). Byte-identical to the linear scan —
-    /// only faster — so it defaults to on; perfbench flips it off to
-    /// time the reference baseline.
+    /// only faster — so it defaults to on; the grid differential tests
+    /// flip it off to diff against the reference scan.
     pub spatial_grid: bool,
     /// Ignored: the simulator has one sequential event loop. Kept only
     /// so the frozen `simbench/` harness, which copies it into
@@ -202,9 +202,8 @@ impl Scenario {
         Terrain::new(self.terrain.0, self.terrain.1)
     }
 
-    /// A stable label for file names and prof headers
-    /// (`n<nodes>-f<flows>-p<pause>`), matching the perfbench case
-    /// names.
+    /// A stable label for file names, prof headers and sweep cell
+    /// names (`n<nodes>-f<flows>-p<pause>`).
     pub fn label(&self) -> String {
         format!("n{}-f{}-p{}", self.n_nodes, self.n_flows, self.pause_secs)
     }

@@ -121,17 +121,19 @@ impl CellSpec {
     }
 }
 
-/// The standard sweep grid: both paper topologies × the four paper
-/// protocols × the given fault levels × `trials` seeds per cell, in
-/// canonical (scenario, protocol, level, seed) order.
+/// The standard sweep grid: both paper topologies at pause 0 (50 nodes
+/// / 10 flows and 100 nodes / 30 flows) × the four paper protocols ×
+/// the given fault levels × `trials` seeds per cell, in canonical
+/// (scenario, protocol, level, seed) order.
 pub fn cells_for(duration_secs: u64, trials: u32, levels: &[u32]) -> Vec<CellSpec> {
     let mut out = Vec::new();
-    for (name, scenario) in crate::perf::paper_cases(duration_secs, trials) {
+    for base in [Scenario::n50(10, 0), Scenario::n100(30, 0)] {
+        let scenario = Scenario { duration_secs, trials, ..base };
         for protocol in Protocol::PAPER_SET {
             for &level in levels {
                 for k in 0..trials {
                     out.push(CellSpec {
-                        scenario_name: name.clone(),
+                        scenario_name: scenario.label(),
                         scenario: scenario.clone(),
                         protocol,
                         seed: trial_seed(scenario.seed_base, k),

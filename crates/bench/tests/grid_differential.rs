@@ -9,9 +9,16 @@
 //! routing, traffic, tracing — running on top of the index. Durations
 //! are shortened (debug builds are an order of magnitude slower than
 //! the release benchmark), but both trials still cross many grid
-//! rebuild epochs and route-repair cycles.
+//! rebuild epochs and route-repair cycles. The ignored case runs the
+//! paper-length check (60 s simulated on seed 1000) and belongs to a
+//! release build:
+//!
+//! ```text
+//! cargo test --release -p ldr-bench --test grid_differential -- --include-ignored
+//! ```
 
-use ldr_bench::perf::run_timed;
+use ldr_bench::run_once;
+use ldr_bench::runner::trial_seed;
 use ldr_bench::scenario::{Protocol, Scenario};
 
 fn assert_grid_matches_linear(mut scenario: Scenario, duration_secs: u64, seed: u64) {
@@ -19,14 +26,14 @@ fn assert_grid_matches_linear(mut scenario: Scenario, duration_secs: u64, seed: 
     for protocol in Protocol::PAPER_SET {
         let mut grid_sc = scenario.clone();
         grid_sc.spatial_grid = true;
-        let g = run_timed(protocol, &grid_sc, seed);
+        let g = run_once(protocol, &grid_sc, seed);
         let mut lin_sc = scenario.clone();
         lin_sc.spatial_grid = false;
-        let l = run_timed(protocol, &lin_sc, seed);
-        assert!(g.metrics.data_originated > 0, "{}: silent run", protocol.name());
+        let l = run_once(protocol, &lin_sc, seed);
+        assert!(g.data_originated > 0, "{}: silent run", protocol.name());
         assert_eq!(
-            g.metrics,
-            l.metrics,
+            g,
+            l,
             "{} diverged between grid and linear at {} nodes (seed {seed})",
             protocol.name(),
             scenario.n_nodes,
@@ -42,4 +49,13 @@ fn paper_50_node_scenario_is_metrics_identical() {
 #[test]
 fn paper_100_node_scenario_is_metrics_identical() {
     assert_grid_matches_linear(Scenario::n100(30, 0), 8, 4102);
+}
+
+#[test]
+#[ignore = "paper-length; run in a release build with --include-ignored"]
+fn paper_scenarios_are_metrics_identical_over_60_simulated_seconds() {
+    for scenario in [Scenario::n50(10, 0), Scenario::n100(30, 0)] {
+        let seed = trial_seed(scenario.seed_base, 0);
+        assert_grid_matches_linear(scenario, 60, seed);
+    }
 }

@@ -14,25 +14,35 @@
 //! benchmark), but both trials still cross many route-repair cycles
 //! and push every pooled buffer through thousands of take/put rounds.
 
-use ldr_bench::perf::run_timed;
-use ldr_bench::runner::{run_once_faulted, trial_fault_plan};
+use ldr_bench::runner::{build_world, run_once_faulted, trial_fault_plan};
 use ldr_bench::scenario::{Protocol, Scenario};
 use ldr_bench::telemetry_export::render_run;
+use manet_sim::metrics::Metrics;
+use manet_sim::time::{SimDuration, SimTime};
+
+/// Runs one trial to its end and returns the kernel's event count and
+/// the run's metrics.
+fn run_counted(protocol: Protocol, scenario: &Scenario, seed: u64) -> (u64, Metrics) {
+    let mut world = build_world(protocol, scenario, seed, None);
+    world.run_until(SimTime::ZERO + SimDuration::from_secs(scenario.duration_secs));
+    world.finalize();
+    (world.events_executed(), world.metrics().clone())
+}
 
 fn assert_pooled_matches_unpooled(mut scenario: Scenario, duration_secs: u64, seed: u64) {
     scenario.duration_secs = duration_secs;
     for protocol in Protocol::PAPER_SET {
         let mut pooled_sc = scenario.clone();
         pooled_sc.recycle_pools = true;
-        let p = run_timed(protocol, &pooled_sc, seed);
+        let (p_events, p) = run_counted(protocol, &pooled_sc, seed);
         let mut fresh_sc = scenario.clone();
         fresh_sc.recycle_pools = false;
-        let f = run_timed(protocol, &fresh_sc, seed);
-        assert!(p.metrics.data_originated > 0, "{}: silent run", protocol.name());
-        assert_eq!(p.events, f.events, "{}: event count diverged", protocol.name());
+        let (f_events, f) = run_counted(protocol, &fresh_sc, seed);
+        assert!(p.data_originated > 0, "{}: silent run", protocol.name());
+        assert_eq!(p_events, f_events, "{}: event count diverged", protocol.name());
         assert_eq!(
-            p.metrics,
-            f.metrics,
+            p,
+            f,
             "{} diverged between pooled and allocate-per-event at {} nodes (seed {seed})",
             protocol.name(),
             scenario.n_nodes,

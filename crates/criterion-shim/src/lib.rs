@@ -3,8 +3,7 @@
 //! The build environment for this workspace has no access to a crate
 //! registry, so the real `criterion` cannot be downloaded. This shim
 //! implements the subset of the API the workspace's benches use —
-//! [`Criterion::bench_function`], [`Criterion::benchmark_group`],
-//! [`BenchmarkId::from_parameter`], `Bencher::iter`, and the
+//! [`Criterion::bench_function`], `Bencher::iter`, and the
 //! `criterion_group!` / `criterion_main!` macros — measuring wall time
 //! with `std::time::Instant` and printing a `name  time/iter` line per
 //! benchmark.
@@ -13,15 +12,14 @@
 //!
 //! * Under `cargo bench` (or any invocation without `--test`), every
 //!   benchmark runs a short calibration pass and then enough
-//!   iterations to fill the group's measurement time (default 2 s),
-//!   reporting mean ns/iter.
+//!   iterations to fill a 2 s measurement budget, reporting mean
+//!   ns/iter.
 //! * Under `cargo test` (cargo passes `--test` to `harness = false`
 //!   bench targets), every benchmark body runs **once** as a smoke
 //!   test, matching real criterion's test-mode behaviour.
 //!
 //! [`criterion`]: https://docs.rs/criterion
 
-use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 /// How benchmarks execute (full measurement vs. one-shot smoke test).
@@ -101,81 +99,6 @@ fn report(name: &str, b: &Bencher) {
     println!("bench {name}: {pretty}/iter ({} iterations)", b.iters);
 }
 
-/// Identifies one benchmark within a group.
-#[derive(Clone, Debug)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// An id rendered from the parameter alone.
-    pub fn from_parameter<P: Display>(parameter: P) -> Self {
-        BenchmarkId { id: parameter.to_string() }
-    }
-
-    /// An id with a function name and a parameter.
-    pub fn new<S: Into<String>, P: Display>(function_name: S, parameter: P) -> Self {
-        BenchmarkId { id: format!("{}/{}", function_name.into(), parameter) }
-    }
-}
-
-/// A named set of related benchmarks sharing measurement settings.
-pub struct BenchmarkGroup<'a> {
-    name: String,
-    mode: Mode,
-    measurement_time: Duration,
-    _parent: &'a mut Criterion,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the target sample count (accepted for API compatibility;
-    /// the shim sizes runs by measurement time alone).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Sets the per-benchmark measurement budget.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.measurement_time = d;
-        self
-    }
-
-    /// Runs one benchmark with an input value.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        let mut b = Bencher {
-            mode: self.mode,
-            measurement_time: self.measurement_time,
-            mean_ns: 0.0,
-            iters: 0,
-        };
-        f(&mut b, input);
-        report(&format!("{}/{}", self.name, id.id), &b);
-        self
-    }
-
-    /// Runs one benchmark without an input value.
-    pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher {
-            mode: self.mode,
-            measurement_time: self.measurement_time,
-            mean_ns: 0.0,
-            iters: 0,
-        };
-        f(&mut b);
-        report(&format!("{}/{}", self.name, id), &b);
-        self
-    }
-
-    /// Ends the group (no-op; exists for API compatibility).
-    pub fn finish(&mut self) {}
-}
-
 /// The benchmark driver.
 pub struct Criterion {
     mode: Mode,
@@ -202,17 +125,6 @@ impl Criterion {
         f(&mut b);
         report(name, &b);
         self
-    }
-
-    /// Opens a named benchmark group.
-    pub fn benchmark_group<S: Into<String>>(&mut self, name: S) -> BenchmarkGroup<'_> {
-        let mode = self.mode;
-        BenchmarkGroup {
-            name: name.into(),
-            mode,
-            measurement_time: Duration::from_secs(2),
-            _parent: self,
-        }
     }
 }
 
@@ -256,11 +168,5 @@ mod tests {
         b.iter(|| std::hint::black_box(41u64) + 1);
         assert!(b.mean_ns > 0.0);
         assert!(b.iters >= 1);
-    }
-
-    #[test]
-    fn benchmark_id_formats() {
-        assert_eq!(BenchmarkId::from_parameter("LDR").id, "LDR");
-        assert_eq!(BenchmarkId::new("t", 5).id, "t/5");
     }
 }

@@ -117,14 +117,11 @@ pub struct SimConfig {
     /// If set, run the routing-loop auditor every interval (and record
     /// violations in the metrics).
     pub audit_interval: Option<SimDuration>,
-    /// Audit after *every* protocol event (expensive; for tests).
-    pub audit_every_event: bool,
     /// Run the every-mutation invariant auditor
     /// ([`crate::audit::InvariantAuditor`]): after each protocol
     /// callback, check fd-monotonicity-per-seqno and successor-graph
     /// acyclicity, and capture a forensic dump on the first violation.
-    /// Much more expensive than `audit_every_event` alone; for tests
-    /// and protocol debugging.
+    /// Expensive; for tests and protocol debugging.
     pub invariant_audit: bool,
     /// Deterministic fault schedule executed by the event kernel
     /// ([`crate::faults`]). `None` runs fault-free.
@@ -135,7 +132,7 @@ pub struct SimConfig {
     /// byte-identical (metrics and trace) to linear-scan runs — the
     /// toggle only changes how fast the same answer is computed — so it
     /// defaults to on. Set `false` to force the reference linear scan
-    /// (used by the differential tests and as the perfbench baseline).
+    /// (used by the grid differential tests).
     /// The grid also silently falls back to the linear scan when the
     /// mobility model cannot promise a finite speed bound
     /// ([`crate::mobility::MobilityModel::max_speed_mps`]).
@@ -179,7 +176,6 @@ impl Default for SimConfig {
             duration: SimDuration::from_secs(900),
             seed: 1,
             audit_interval: None,
-            audit_every_event: false,
             invariant_audit: false,
             fault_plan: None,
             spatial_grid: true,

@@ -961,9 +961,6 @@ impl World {
         self.prof_exit();
         self.apply_actions(node, &mut actions);
         self.put_actions(actions);
-        if self.cfg.audit_every_event {
-            self.audit_now();
-        }
         self.invariant_check();
     }
 
@@ -1550,7 +1547,6 @@ mod tests {
             duration: SimDuration::from_secs(30),
             seed,
             audit_interval: None,
-            audit_every_event: false,
             invariant_audit: false,
             fault_plan: None,
             spatial_grid: true,
